@@ -200,9 +200,9 @@ def cmd_sweep(args) -> int:
         sol = solve_threshold(m, payoff, root)
         k1s.append(root.k1)
         xs.append(sol.x_star)
-        rows.append([repr(float(v)), repr(root.k1), repr(sol.x_star),
-                     repr(bounds.adjusted_discount(m, root.k1)),
-                     repr(m.discount / root.k1)])
+        cells = (v, root.k1, sol.x_star, bounds.adjusted_discount(m, root.k1),
+                 m.discount / root.k1)
+        rows.append([repr(float(c)) for c in cells])
 
     def direction(seq) -> str:
         diffs = np.diff(seq)
@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
             raise InvalidModel("grid search needs a payoff in the config")
         grid = _parse_range(args.grid)
         result = mc.threshold_grid_search(model, payoff, args.x, grid, args.n,
-                                          args.seed, args.horizon, args.step)
+                                          args.seed, args.horizon)
         sol = solve_threshold(model, payoff, root)
         spacing = float(grid[1] - grid[0])
         payload = {
@@ -250,12 +250,12 @@ def cmd_simulate(args) -> int:
         raise InvalidModel("simulate needs --y or --grid")
     if payoff is not None:
         est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
-                              args.horizon, args.step)
+                              args.horizon)
         ratio = _psi_ratio(model, root.k1, args.x, args.y)
         target = float(payoff_eval(payoff, args.y)) * ratio
     else:
         est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
-                                  args.horizon, args.step)
+                                  args.horizon)
         target = _psi_ratio(model, root.k1, args.x, args.y)
     z = 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr
     payload = {
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float)
-    p_sim.add_argument("--step", type=float, default=1e-2)
     p_sim.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit 4 when the estimate violates its contract")
     p_sim.add_argument("--out")

@@ -1,25 +1,25 @@
 """Monte Carlo first-passage oracle, independent of the analytic route.
 
-The skeleton is exact: between jump epochs (Poisson(lambda), sampled
-exactly) the path is Brownian with the compensated drift, so each step
-draws the true Gaussian increment over the step, in log space for the
-geometric family. What a discrete skeleton misses is a crossing inside
-a step that ends below the barrier; conditional on the endpoints that
-happens with the Brownian bridge probability
+The scheme is exact and event driven, jump to jump (Kou & Wang 2003;
+Metwally & Atiya 2002). Jump epochs are Poisson(lambda) and sampled
+exactly. Between them the engine-space path (the state itself, or its
+log for the geometric family) is a Brownian motion with drift c and
+volatility sigma, so its passage time over a level at distance d is
+inverse Gaussian: IG(d/c, d^2/sigma^2) when c > 0. When c < 0 the law
+is defective, the level is reached with probability exp(2cd/sigma^2)
+and then at an IG(d/|c|, d^2/sigma^2) time; when c = 0 the time is
+Levy, d^2/(sigma^2 Z^2).
 
-    p = exp(-2 (y - x_t)(y - x_{t+h}) / (sigma^2 h))
-
-and the engine flips a uniform against p on every step, so detection
-of upward passage is exact and only the recorded crossing time carries
-O(step) error (linear interpolation for overshoot, midpoint for a
-bridge hit). Downward jumps cannot cross the barrier, which is the
-spectral-negativity fact the whole analytic route rests on; crossings
-from below are continuous and g(X_tau) = g(y) exactly.
-
-Far from the barrier the step stretches: H solves
-d = c_+ H + 7 sigma sqrt(H) for distance d, so a coarse step still has
-~7 sigma of headroom and the bridge test keeps whatever tail remains.
-Near the barrier the step floors at `step` (default 1e-2).
+Each pass draws, for every live path, the passage time to its next
+barrier. A time inside the gap to the next jump (or the horizon) is the
+hit time, exactly. Downward jumps cannot cross a barrier, which is the
+spectral-negativity fact the whole analytic route rests on: crossings
+are continuous, the path restarts on the barrier, X_tau = y and
+g(X_tau) = g(y) exactly, and the next barrier is tried in the same gap.
+Otherwise the gap-end position is drawn from its law given that passage
+time (see _gap_end), a fixed handful of draws with no rejection loop,
+and the jump is applied. There is no time step, so the recorded passage
+times carry no discretization error.
 
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
 driven by its own Philox stream keyed (seed, chunk index), and chunk
@@ -29,7 +29,7 @@ given seed regardless of how chunks might be scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, sqrt
+from math import exp, isfinite, log, sqrt
 
 import numpy as np
 
@@ -87,8 +87,19 @@ def default_horizon(model: Model) -> float:
     return log(1.0 / TERMINAL_DISCOUNT) / model.discount
 
 
+def _horizon(model: Model, horizon: float | None) -> float:
+    """The default horizon when none is given; otherwise it must be finite and positive."""
+    if horizon is None:
+        return default_horizon(model)
+    if not (isfinite(horizon) and horizon > 0):
+        raise InvalidModel(f"simulation horizon must be finite and positive, got {horizon}")
+    return horizon
+
+
 def _engine_setup(model: Model, x0: float, levels: np.ndarray):
     """Map state and barriers into engine space (identity or log)."""
+    if not (isfinite(x0) and np.all(np.isfinite(levels))):
+        raise InvalidModel("start and barriers must be finite")
     if model.family is Family.GEOMETRIC:
         if x0 <= 0 or np.any(levels <= 0):
             raise DomainError("geometric states and barriers must be positive")
@@ -114,96 +125,93 @@ def _chunk_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, index])))
 
 
+def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np.ndarray:
+    """Passage time of c t + sigma W_t over d > 0; inf where it never gets there.
+
+    IG(d/|c|, d^2/s2), reached only with probability exp(2cd/s2) when
+    c < 0. Where |c| d/s2 < 1e-9 the drift moves the law by about that
+    much and the time is taken as Levy, d^2/(s2 Z^2): numpy's wald
+    cancels to zero as |c| d/s2 nears rounding.
+    """
+    tau = np.full(d.size, np.inf)
+    go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2)) if c < 0 else np.arange(d.size)
+    levy = abs(c) * d[go] < 1e-9 * s2
+    tau[go[levy]] = d[go[levy]] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
+    go = go[~levy]
+    tau[go] = gen.wald(d[go] / abs(c), d[go] ** 2 / s2)
+    return tau
+
+
+def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.ndarray,
+             c: float, sigma: float) -> np.ndarray:
+    """Distance below the barrier after time h, given the passage time tau > h.
+
+    Given tau, the distance is a BES(3) bridge from d to 0 whatever c is,
+    so at h it is the norm of a 3-d Brownian bridge. Given tau = inf
+    (c < 0, never reached) it is BES(3) with drift |c|: the norm of a 3-d
+    Brownian motion with that drift, started on the sphere of radius d
+    with density proportional to exp(|c| d cos(theta) / sigma^2) about
+    the drift direction (Rogers & Pitman 1981).
+    """
+    shrink = 1.0 - h / tau
+    r = d * shrink
+    if c < 0:
+        never = np.flatnonzero(np.isinf(tau))
+        dn, hn = d[never], h[never]
+        kappa = -c * dn / (sigma * sigma)
+        cos = 1.0 + np.log1p(gen.random(never.size) * np.expm1(-2.0 * kappa)) / kappa
+        r[never] = np.sqrt(dn * dn + (c * hn) ** 2 - 2.0 * c * dn * hn * cos)
+    v2 = sigma * sigma * h * shrink
+    return np.sqrt((r + np.sqrt(v2) * gen.standard_normal(d.size)) ** 2
+                   + 2.0 * v2 * gen.standard_exponential(d.size))
+
+
 def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float,
-                    levels: np.ndarray, drift: float, horizon: float,
-                    step: float) -> tuple[np.ndarray, np.ndarray]:
+                    levels: np.ndarray, drift: float,
+                    horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """tau matrix (n, len(levels)) plus terminal engine-space positions."""
     m = len(levels)
     sigma = model.volatility
-    s2 = sigma * sigma
     lam = model.jump_intensity
-    cpos = max(drift, 0.0)
-
-    pos = np.full(n, start)
-    t = np.zeros(n)
-    ptr = np.zeros(n, dtype=np.int64)
     tau = np.full((n, m), np.inf)
+    end = np.full(n, start)
+    gap = np.full(n, horizon)
     if lam > 0:
-        next_jump = np.maximum(gen.exponential(1.0 / lam, n), 1e-300)
-    else:
-        next_jump = np.full(n, np.inf)
+        gap = np.minimum(gen.exponential(1.0 / lam, n), horizon)
 
+    # state of the live paths only: row, position, clock, next barrier, gap end
     hit0 = int(np.searchsorted(levels, start, side="right"))
-    if hit0:
-        tau[:, :hit0] = 0.0
-        ptr[:] = hit0
-    alive = np.full(n, hit0 < m)
-    act = np.flatnonzero(alive)
+    tau[:, :hit0] = 0.0
+    rows = np.arange(n if hit0 < m else 0)
+    pos, t, k, gap = end[rows], np.zeros(rows.size), np.full(rows.size, hit0), gap[rows]
 
-    while act.size:
-        p = pos[act]
-        tt = t[act]
-        lev = levels[ptr[act]]
-        d = lev - p
-        if cpos > 0:
-            root = (np.sqrt(49.0 * s2 + 4.0 * cpos * d) - 7.0 * sigma) / (2.0 * cpos)
-            H = root * root
-        else:
-            H = (d / (7.0 * sigma)) ** 2
-        H = np.maximum(H, step)
-        dt_jump = next_jump[act] - tt
-        H = np.minimum(H, np.minimum(dt_jump, horizon - tt))
-        jump_now = H >= dt_jump
+    with np.errstate(divide="ignore", over="ignore"):
+        while rows.size:
+            lev = levels[k]
+            d = np.maximum(lev - pos, 1e-12)  # rounding may leave a path on its barrier
+            h = gap - t
+            dt = _passage(gen, d, drift, sigma * sigma)
+            hit = dt < h
+            t = np.where(hit, t + dt, gap)
+            tau[rows[hit], k[hit]] = t[hit]
+            k = k + hit
 
-        z = gen.standard_normal(act.size)
-        u = gen.random(act.size)
-        pnew = p + drift * H + sigma * np.sqrt(H) * z
+            miss = np.flatnonzero(~hit)
+            pos = lev
+            pos[miss] -= _gap_end(gen, d[miss], h[miss], dt[miss], drift, sigma)
+            if lam > 0:
+                miss = miss[gap[miss] < horizon]
+                pos[miss] += _jump_shift(model, gen, miss.size)
+                gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
+            live = (k < m) & (t < horizon)
+            end[rows[~live]] = pos[~live]
+            rows, pos, t, k, gap = rows[live], pos[live], t[live], k[live], gap[live]
 
-        direct = pnew >= lev
-        with np.errstate(divide="ignore"):
-            crossed = direct | (np.log(u) < (-2.0 * d * (lev - pnew)) / (s2 * H))
-        if np.any(crossed):
-            sel = np.flatnonzero(crossed)
-            gidx = act[sel]
-            frac = np.where(direct[sel],
-                            d[sel] / np.maximum(pnew[sel] - p[sel], 1e-300), 0.5)
-            tau[gidx, ptr[gidx]] = tt[sel] + np.clip(frac, 0.0, 1.0) * H[sel]
-            ptr[gidx] += 1
-            # one wide step may overshoot several barriers
-            sub = sel[direct[sel]]
-            while sub.size:
-                g2 = act[sub]
-                ok = ptr[g2] < m
-                sub, g2 = sub[ok], g2[ok]
-                if not sub.size:
-                    break
-                lev2 = levels[ptr[g2]]
-                over = pnew[sub] >= lev2
-                sub, g2, lev2 = sub[over], g2[over], lev2[over]
-                if not sub.size:
-                    break
-                frac2 = (lev2 - p[sub]) / np.maximum(pnew[sub] - p[sub], 1e-300)
-                tau[g2, ptr[g2]] = tt[sub] + np.clip(frac2, 0.0, 1.0) * H[sub]
-                ptr[g2] += 1
-
-        if lam > 0 and np.any(jump_now):
-            jsel = np.flatnonzero(jump_now)
-            jidx = act[jsel]
-            pnew[jsel] += _jump_shift(model, gen, jsel.size)
-            next_jump[jidx] += np.maximum(gen.exponential(1.0 / lam, jsel.size), 1e-300)
-
-        pos[act] = pnew
-        t[act] = tt + H
-        finished = (ptr[act] >= m) | (t[act] >= horizon * (1.0 - 1e-12))
-        if np.any(finished):
-            alive[act[finished]] = False
-            act = np.flatnonzero(alive)
-
-    return tau, pos
+    return tau, end
 
 
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
-                        horizon: float | None = None, step: float = 1e-2) -> np.ndarray:
+                        horizon: float | None = None) -> np.ndarray:
     """First-passage times over each ascending barrier; inf where not reached.
 
     One shared path set serves every barrier (common random numbers), and
@@ -211,26 +219,26 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.any(np.diff(levels) <= 0):
-        raise ValueError("barriers must be strictly increasing")
+        raise InvalidModel("barriers must be strictly increasing")
     if n <= 1:
-        raise ValueError("need at least 2 paths")
-    if horizon is None:
-        horizon = default_horizon(model)
+        raise InvalidModel("need at least 2 paths")
+    horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
     chunks = []
     for index, lo in enumerate(range(0, n, CHUNK)):
         size = min(CHUNK, n - lo)
         gen = _chunk_stream(seed, index)
-        tau, _ = _simulate_chunk(model, gen, size, start, elevels, drift, horizon, step)
+        tau, _ = _simulate_chunk(model, gen, size, start, elevels, drift, horizon)
         chunks.append(tau)
     return np.concatenate(chunks, axis=0)
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
-                          rng: np.random.Generator, step: float = 1e-2) -> PathResult:
+                          rng: np.random.Generator) -> PathResult:
     """One path, caller-supplied stream. Crossing position is y exactly."""
+    horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, np.asarray([y], dtype=float))
-    tau, end = _simulate_chunk(model, rng, 1, start, elevels, drift, horizon, step)
+    tau, end = _simulate_chunk(model, rng, 1, start, elevels, drift, horizon)
     hit = isfinite(tau[0, 0])
     if hit:
         return PathResult(True, float(tau[0, 0]), float(y))
@@ -238,49 +246,46 @@ def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
     return PathResult(False, float("inf"), x_end)
 
 
-def _estimate(values: np.ndarray, misses: np.ndarray, model: Model, horizon: float,
-              seed: int, scale: float) -> MCEstimate:
-    n = len(values)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / sqrt(n))
-    trunc = float(np.exp(-model.discount * horizon) * misses.mean() * abs(scale))
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=n, horizon=horizon,
-                      truncation_bound=trunc, seed=seed)
+def _estimate(tau: np.ndarray, model: Model, horizon: float, seed: int,
+              g: float = 1.0) -> MCEstimate:
+    """g E[e^{-r tau}] from passage times, inf where the barrier was not reached."""
+    miss = ~np.isfinite(tau)
+    disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau)))
+    n = len(disc)
+    return MCEstimate(mean=g * float(disc.mean()),
+                      stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
+                      n_paths=n, horizon=horizon,
+                      truncation_bound=abs(g) * exp(-model.discount * horizon)
+                      * float(miss.mean()),
+                      seed=seed)
 
 
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
-                     horizon: float | None = None, step: float = 1e-2) -> MCEstimate:
+                     horizon: float | None = None) -> MCEstimate:
     """E[e^{-r tau_y}] from x; the analytic value is psi(x)/psi(y)."""
-    if horizon is None:
-        horizon = default_horizon(model)
+    horizon = _horizon(model, horizon)
     if x >= y:
         return MCEstimate(1.0, 0.0, n, horizon, 0.0, seed)
-    tau = first_passage_times(model, x, [y], n, seed, horizon, step)[:, 0]
-    miss = ~np.isfinite(tau)
-    disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau)))
-    return _estimate(disc, miss, model, horizon, seed, 1.0)
+    tau = first_passage_times(model, x, [y], n, seed, horizon)[:, 0]
+    return _estimate(tau, model, horizon, seed)
 
 
 def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed: int,
-                 horizon: float | None = None, step: float = 1e-2) -> MCEstimate:
+                 horizon: float | None = None) -> MCEstimate:
     """Value of the stop-at-y policy: E[e^{-r tau_y} g(X_tau)] = g(y) E[e^{-r tau_y}].
 
     The factorization holds path by path: jumps are downward, so the
     barrier is crossed continuously and X_tau = y on every hit.
     """
-    g = float(payoff_eval(payoff, y))
+    horizon = _horizon(model, horizon)
     if x >= y:
-        h = horizon if horizon is not None else default_horizon(model)
-        return MCEstimate(float(payoff_eval(payoff, x)), 0.0, n, h, 0.0, seed)
-    base = estimate_laplace(model, x, y, n, seed, horizon, step)
-    return MCEstimate(mean=g * base.mean, stderr=abs(g) * base.stderr,
-                      n_paths=base.n_paths, horizon=base.horizon,
-                      truncation_bound=abs(g) * base.truncation_bound, seed=seed)
+        return MCEstimate(float(payoff_eval(payoff, x)), 0.0, n, horizon, 0.0, seed)
+    tau = first_passage_times(model, x, [y], n, seed, horizon)[:, 0]
+    return _estimate(tau, model, horizon, seed, float(payoff_eval(payoff, y)))
 
 
 def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n: int,
-                          seed: int, horizon: float | None = None,
-                          step: float = 1e-2) -> GridSearchResult:
+                          seed: int, horizon: float | None = None) -> GridSearchResult:
     """Estimate the stop-at-y value on a barrier grid with shared paths.
 
     Shared paths make neighboring estimates strongly positively
@@ -288,18 +293,12 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     at the same n. Ties break toward the largest barrier.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if horizon is None:
-        horizon = default_horizon(model)
-    tau = first_passage_times(model, x, thresholds, n, seed, horizon, step)
+    horizon = _horizon(model, horizon)
+    tau = first_passage_times(model, x, thresholds, n, seed, horizon)
     gvals = np.atleast_1d(np.asarray(payoff_eval(payoff, thresholds), dtype=float))
-    estimates = []
-    for j, (y, g) in enumerate(zip(thresholds, gvals)):
-        if x >= y:
-            estimates.append(MCEstimate(g, 0.0, n, horizon, 0.0, seed))
-            continue
-        miss = ~np.isfinite(tau[:, j])
-        disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau[:, j])))
-        estimates.append(_estimate(g * disc, miss, model, horizon, seed, g))
+    estimates = [MCEstimate(g, 0.0, n, horizon, 0.0, seed) if x >= y
+                 else _estimate(tau[:, j], model, horizon, seed, g)
+                 for j, (y, g) in enumerate(zip(thresholds, gvals.tolist()))]
     means = np.array([e.mean for e in estimates])
     best = len(means) - 1 - int(np.argmax(means[::-1]))
     return GridSearchResult(thresholds=tuple(float(v) for v in thresholds),

@@ -212,6 +212,22 @@ class TestSweep:
         assert "# k1 strictly_decreasing" in out
         assert "# x_star strictly_increasing" in out
 
+    def test_tabulated_payoff_cells_are_plain_floats(self, capsys, cfg_file):
+        # a tabulated payoff's x_star is a numpy scalar; it must still be
+        # written as a plain float
+        cfg = dict(FIG2_CFG, payoff={"kind": "tabulated", "params": {
+            "breakpoints": [0.5, 1.0, 2.0, 4.0], "values": [-1.0, 0.0, 1.5, 2.5]}})
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(cfg),
+                               "--param", "sigma", "--range", "0.05:0.15:3")
+        assert code == 0
+        body = [line for line in out.split("\r\n") if line and not line.startswith("#")]
+        rows = list(csv.reader(body[1:]))
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 5
+            for cell in row:
+                float(cell)
+
     def test_bad_range(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "sweep", "--config", cfg_file(FIG2_CFG),
                                "--param", "sigma", "--range", "0.3:0.1:5")
@@ -321,6 +337,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "solve", "--config", cfg_file(cfg))
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--y", "2.0", "--n", "1"),
+        ("--y", "2.0", "--n", "0"),
+        ("--grid", "2.0:2.8:5", "--n", "1"),
+        ("--y", "2.0", "--horizon", "-1"),
+        ("--y", "2.0", "--horizon", "0"),
+        ("--y", "2.0", "--horizon", "nan"),
+        ("--grid", "2.0:2.8:5", "--horizon", "inf"),
+        ("--y", "2.0", "--x", "nan"),
+    ])
+    def test_bad_simulation_input(self, capsys, cfg_file, flags):
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
+                                 "--x", "1.0", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestInstalledScript:

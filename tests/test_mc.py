@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levystop import (
     CappedCall,
     DomainError,
+    ExponentialJumps,
     Family,
     GammaJumps,
     InvalidModel,
@@ -24,6 +26,7 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
+from levystop.mc import _engine_setup, _gap_end, _passage
 
 from conftest import fig2_model, table1_model
 
@@ -82,6 +85,23 @@ class TestLaplaceEstimate:
             -fig2.discount * est.horizon)
         assert est.horizon == pytest.approx(default_horizon(fig2))
 
+    @pytest.mark.parametrize("model, x, y, drift_sign", [
+        # engine drift -0.3 + 1.0 * 0.1 < 0: defective inverse-Gaussian passage,
+        # and frequent jumps make many gap ends never-reached ones
+        (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0, 0.3, -1.0),
+        # engine drift -0.1 + 0.1 * 1 = 0 exactly: Levy passage
+        (Model(Family.ARITHMETIC, -0.1, 0.2, 0.1, ExponentialJumps(1.0), 0.05), 0.0, 0.5, 0.0),
+        # engine drift 0.005 - 0.1^2/2 rounds to about -9e-19, where numpy's
+        # wald cancels to zero: the passage time must come out Levy
+        (Model(Family.GEOMETRIC, 0.005, 0.1, 0.0, None, 0.05), 1.0, 1.5, -1.0),
+    ], ids=["negative_engine_drift", "zero_engine_drift", "rounding_engine_drift"])
+    def test_nonpositive_engine_drift_matches_analytic(self, model, x, y, drift_sign):
+        assert np.sign(_engine_setup(model, x, np.array([y]))[2]) == drift_sign
+        k1 = solve_k1(model).k1
+        est = estimate_laplace(model, x, y, 20_000, seed=19)
+        target = psi(model, k1, x) / psi(model, k1, y)
+        assert abs(est.mean - target) <= 4.0 * est.stderr + est.truncation_bound
+
     def test_horizon_override(self, fig2):
         est = estimate_laplace(fig2, 1.0, 2.39, 2000, seed=4, horizon=5.0)
         assert est.horizon == 5.0
@@ -112,6 +132,29 @@ class TestFirstPassage:
             first_passage_times(fig2, 1.0, [2.0, 1.5], 100, seed=0)
         with pytest.raises(ValueError):
             first_passage_times(fig2, 1.0, [2.0], 1, seed=0)
+
+    @pytest.mark.parametrize("levels, n, horizon", [
+        ([2.0, 1.5], 100, None),
+        ([2.0], 1, None),
+        ([2.0], 0, None),
+        ([2.0], 100, -1.0),
+        ([2.0], 100, 0.0),
+        ([2.0], 100, math.nan),
+        ([2.0], 100, math.inf),
+        ([math.nan], 100, None),
+    ])
+    def test_bad_inputs_are_invalid_model(self, fig2, levels, n, horizon):
+        # a horizon the path clock never reaches would simulate forever
+        with pytest.raises(InvalidModel):
+            first_passage_times(fig2, 1.0, levels, n, seed=0, horizon=horizon)
+
+    def test_nan_start_is_invalid_model(self, fig2):
+        # NaN sorts above every barrier and would count as an instant hit
+        with pytest.raises(InvalidModel):
+            first_passage_times(fig2, math.nan, [2.0], 100, seed=0)
+        with pytest.raises(InvalidModel):
+            simulate_to_threshold(fig2, math.nan, 2.0, 10.0,
+                                  np.random.Generator(np.random.Philox(0)))
 
     def test_geometric_positivity_guard(self, fig2):
         with pytest.raises(DomainError):
@@ -158,12 +201,64 @@ class TestSinglePath:
         assert res.tau == float("inf")
         assert 0.0 < res.x_at_tau < 50.0
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_horizon_is_invalid_model(self, fig2, horizon):
+        with pytest.raises(InvalidModel):
+            simulate_to_threshold(fig2, 1.0, 2.0, horizon,
+                                  np.random.Generator(np.random.Philox(0)))
+
+    def test_few_draws_per_path(self, fig2):
+        # jump to jump, a path draws a handful of values per gap; a
+        # time-stepped skeleton draws hundreds on the same paths
+        class Counting:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def __getattr__(self, name):
+                method = getattr(self.gen, name)
+
+                def counted(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    self.draws += np.size(out)
+                    return out
+                return counted
+
+        horizon = default_horizon(fig2)
+        draws = 0
+        for i in range(200):
+            stream = Counting(np.random.Generator(np.random.Philox(i)))
+            simulate_to_threshold(fig2, 1.0, 2.39, horizon, stream)
+            draws += stream.draws
+        assert draws / 200 <= 15
+
     def test_deterministic_given_stream(self, fig2):
         a = simulate_to_threshold(fig2, 1.0, 1.5, 100.0,
                                   np.random.Generator(np.random.Philox(7)))
         b = simulate_to_threshold(fig2, 1.0, 1.5, 100.0,
                                   np.random.Generator(np.random.Philox(7)))
         assert a == b
+
+
+class TestGapEnd:
+    """Gap-end draws against brute force: Gaussian endpoints kept when the
+    Brownian bridge to them stays below the barrier and, for paths whose
+    passage time is inf, when the path never comes back up either."""
+
+    @pytest.mark.parametrize("c", [0.5, 0.0, -0.5])
+    def test_matches_rejection_sampling(self, c):
+        d, h, sigma, n = 0.8, 2.0, 0.5, 200_000
+        s = sigma * math.sqrt(h)
+        gen = np.random.Generator(np.random.Philox(5))
+        tau = _passage(gen, np.full(n, d), c, sigma * sigma)
+        tau = tau[tau > h]
+        w = _gap_end(gen, np.full(tau.size, d), np.full(tau.size, h), tau, c, sigma)
+        ref = d - (c * h + s * gen.standard_normal(n))
+        keep = gen.random(n) < -np.expm1(-2.0 * d * ref / s ** 2)
+        assert stats.ks_2samp(w, ref[keep]).pvalue > 1e-3
+        if c < 0:
+            never = np.isinf(tau)
+            back = gen.random(n) < np.exp(2.0 * c * ref / sigma ** 2)
+            assert stats.ks_2samp(w[never], ref[keep & ~back]).pvalue > 1e-3
 
 
 class TestPolicyValue:
@@ -195,8 +290,8 @@ class TestPolicyValue:
 class TestGridSearch:
     def test_singleton_matches_laplace_bitwise(self, fig2):
         # identical barrier set, identical seed: the same paths are drawn,
-        # so the estimate factorizes exactly (path draws adapt their step
-        # sizes to the barrier set, so this only holds set-for-set)
+        # so the estimate factorizes exactly (each passage time is drawn to
+        # the path's next barrier, so this only holds set-for-set)
         payoff = PowerCall(1.0, 1.0, 1.0)
         res = threshold_grid_search(fig2, payoff, 1.0, [1.8], 4000, seed=17)
         single = estimate_laplace(fig2, 1.0, 1.8, 4000, seed=17)
