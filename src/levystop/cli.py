@@ -44,7 +44,7 @@ def _read_config(path: str) -> tuple[Model, Payoff | None]:
             cfg = json.load(fh)
     except OSError as exc:
         raise InvalidModel(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InvalidModel(f"config is not valid JSON: {exc}") from exc
     return model_from_config(cfg)
 
@@ -251,8 +251,9 @@ def cmd_simulate(args) -> int:
     if payoff is not None:
         est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
                               args.horizon)
-        ratio = _psi_ratio(model, root.k1, args.x, args.y)
-        target = float(payoff_eval(payoff, args.y)) * ratio
+        # at or above the barrier the policy stops at once and is worth g(x)
+        g_stop = float(payoff_eval(payoff, max(args.x, args.y)))
+        target = g_stop * _psi_ratio(model, root.k1, args.x, args.y)
     else:
         est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
                                   args.horizon)

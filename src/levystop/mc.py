@@ -210,6 +210,11 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
     return tau, end
 
 
+def _require_paths(n: int) -> None:
+    if n <= 1:
+        raise InvalidModel("need at least 2 paths")
+
+
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
                         horizon: float | None = None) -> np.ndarray:
     """First-passage times over each ascending barrier; inf where not reached.
@@ -220,8 +225,7 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.any(np.diff(levels) <= 0):
         raise InvalidModel("barriers must be strictly increasing")
-    if n <= 1:
-        raise InvalidModel("need at least 2 paths")
+    _require_paths(n)
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
     chunks = []
@@ -263,6 +267,7 @@ def _estimate(tau: np.ndarray, model: Model, horizon: float, seed: int,
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
                      horizon: float | None = None) -> MCEstimate:
     """E[e^{-r tau_y}] from x; the analytic value is psi(x)/psi(y)."""
+    _require_paths(n)
     horizon = _horizon(model, horizon)
     if x >= y:
         return MCEstimate(1.0, 0.0, n, horizon, 0.0, seed)
@@ -277,6 +282,7 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     The factorization holds path by path: jumps are downward, so the
     barrier is crossed continuously and X_tau = y on every hit.
     """
+    _require_paths(n)
     horizon = _horizon(model, horizon)
     if x >= y:
         return MCEstimate(float(payoff_eval(payoff, x)), 0.0, n, horizon, 0.0, seed)

@@ -21,6 +21,7 @@ claims pay g(X_tau) at a stopping time tau, discounted at rate r.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,13 @@ __all__ = [
 MAX_BREAKPOINTS = 64
 
 
+def _require_finite(what: str, error: type[InvalidModel] = InvalidModel, **params) -> None:
+    """Reject NaN and infinite parameters; tuples are checked elementwise."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise error(f"{what} {name} must be finite")
+
+
 class Family(str, enum.Enum):
     ARITHMETIC = "arithmetic"
     GEOMETRIC = "geometric"
@@ -78,6 +86,7 @@ class GammaJumps:
     rate: float
 
     def __post_init__(self) -> None:
+        _require_finite("gamma jump law", shape=self.shape, rate=self.rate)
         if not (self.shape > 0 and self.rate > 0):
             raise InvalidModel("gamma jump law needs shape > 0 and rate > 0")
 
@@ -100,6 +109,7 @@ class ExponentialJumps:
     rate: float
 
     def __post_init__(self) -> None:
+        _require_finite("exponential jump law", rate=self.rate)
         if not self.rate > 0:
             raise InvalidModel("exponential jump law needs rate > 0")
 
@@ -123,6 +133,7 @@ class BetaJumps:
     d: float
 
     def __post_init__(self) -> None:
+        _require_finite("beta jump law", c=self.c, d=self.d)
         if not (self.c > 0 and self.d > 0):
             raise InvalidModel("beta jump law needs c > 0 and d > 0")
 
@@ -146,6 +157,7 @@ class PointMassJumps:
     z: float
 
     def __post_init__(self) -> None:
+        _require_finite("point mass", z=self.z)
         if not self.z >= 0:
             raise InvalidModel("point mass mark must be nonnegative")
 
@@ -175,6 +187,7 @@ class TabulatedJumps:
         weights = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        _require_finite("tabulated jump law", nodes=nodes, weights=weights)
         if len(nodes) == 0 or len(nodes) != len(weights):
             raise InvalidModel("tabulated jump law needs matching nonempty nodes/weights")
         if any(v < 0 for v in nodes):
@@ -215,6 +228,7 @@ class CappedCall:
     I: float
 
     def __post_init__(self) -> None:
+        _require_finite("capped call", BadPayoff, K=self.K, I=self.I)
         if not (self.K > self.I):
             raise BadPayoff("capped call needs K > I")
 
@@ -228,6 +242,7 @@ class PowerCall:
     K: float
 
     def __post_init__(self) -> None:
+        _require_finite("power call", BadPayoff, a=self.a, b=self.b, K=self.K)
         if not (self.a > 0 and self.b > 0 and self.K > 0):
             raise BadPayoff("power call needs a, b, K > 0")
 
@@ -253,6 +268,7 @@ class TabulatedPayoff:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        _require_finite("tabulated payoff", BadPayoff, breakpoints=bp, values=vals)
         if len(bp) < 2 or len(bp) != len(vals):
             raise BadPayoff("tabulated payoff needs matching breakpoints/values, at least 2")
         if len(bp) > MAX_BREAKPOINTS:
@@ -381,6 +397,9 @@ class Model:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
+        _require_finite("model", drift=self.drift, volatility=self.volatility,
+                        jump_intensity=self.jump_intensity, discount=self.discount,
+                        jump_scale=self.jump_scale)
         if not self.volatility > 0:
             raise NonPositiveVolatility("volatility must be strictly positive")
         if self.jump_intensity < 0:
@@ -455,15 +474,46 @@ _PAYOFF_KINDS = {
 }
 
 
-def _build(kind: str, params: dict, table: dict, what: str):
-    if kind not in table:
-        raise InvalidModel(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}")
+# parameters that take a list of numbers; every other parameter takes one
+_SEQUENCE_PARAMS = {"nodes", "weights", "breakpoints", "values"}
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float; InvalidModel naming the key otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidModel(f"config key {key!r} must be a finite number, got {value!r:.40}")
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidModel(f"config key {key!r} must be a list of numbers")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _build(spec, table: dict, what: str):
+    if not isinstance(spec, dict):
+        raise InvalidModel(f"config key {what!r} must be an object with 'kind' and 'params'")
+    extra = set(spec) - {"kind", "params"}
+    if extra:
+        raise InvalidModel(f"unknown {what} keys: {sorted(extra)}")
+    kind, params = spec.get("kind"), spec.get("params", {})
+    if not isinstance(kind, str) or kind not in table:
+        raise InvalidModel(f"unknown {what} kind {kind!r:.40}; expected one of {sorted(table)}")
+    if not isinstance(params, dict):
+        raise InvalidModel(f"config key '{what}.params' must be an object")
     cls, names = table[kind]
     missing = [n for n in names if n not in params]
     extra = [n for n in params if n not in names]
     if missing or extra:
         raise InvalidModel(f"{what} {kind!r} params: missing {missing}, unexpected {extra}")
-    return cls(**params)
+    parse = {n: _numbers if n in _SEQUENCE_PARAMS else _number for n in names}
+    return cls(**{n: parse[n](v, f"{what}.params.{n}") for n, v in params.items()})
 
 
 def model_from_config(cfg: dict) -> tuple[Model, Payoff | None]:
@@ -480,24 +530,21 @@ def model_from_config(cfg: dict) -> tuple[Model, Payoff | None]:
     try:
         family = Family(cfg["family"])
     except ValueError:
-        raise InvalidModel(f"unknown family {cfg['family']!r}") from None
-    lam = float(cfg.get("lambda", 0.0))
+        raise InvalidModel(f"unknown family {cfg['family']!r:.40}") from None
     dist = None
     if cfg.get("jump_dist") is not None:
-        jd = cfg["jump_dist"]
-        dist = _build(jd.get("kind"), jd.get("params", {}), _JUMP_KINDS, "jump_dist")
+        dist = _build(cfg["jump_dist"], _JUMP_KINDS, "jump_dist")
     payoff = None
     if cfg.get("payoff") is not None:
-        p = cfg["payoff"]
-        payoff = _build(p.get("kind"), p.get("params", {}), _PAYOFF_KINDS, "payoff")
+        payoff = _build(cfg["payoff"], _PAYOFF_KINDS, "payoff")
     model = Model(
         family=family,
-        drift=float(cfg["drift"]),
-        volatility=float(cfg["volatility"]),
-        jump_intensity=lam,
+        drift=_number(cfg["drift"], "drift"),
+        volatility=_number(cfg["volatility"], "volatility"),
+        jump_intensity=_number(cfg.get("lambda", 0.0), "lambda"),
         jump_dist=dist,
-        discount=float(cfg["r"]),
-        jump_scale=float(cfg.get("jump_scale", 1.0)),
+        discount=_number(cfg["r"], "r"),
+        jump_scale=_number(cfg.get("jump_scale", 1.0), "jump_scale"),
     )
     return validate(model, payoff), payoff
 

@@ -152,14 +152,15 @@ def _solve_tabulated(model: Model, payoff: TabulatedPayoff, k1: float) -> tuple[
     else:
         raise NoFiniteThreshold("g/psi keeps increasing; sup not attained")
 
-    # rescaled ratio, monotone-equivalent to g/psi but overflow-free
+    # rescaled ratio, monotone-equivalent to g/psi but overflow-free; the
+    # grid scan evaluates it in one array pass (grid >= x0 > 0 when geometric)
+    grid = np.linspace(x0, R, 1025)
     if geometric:
         ratio = lambda x: float(payoff_eval(payoff, x)) * (x / x0) ** (-k1) if x > 0 else 0.0
+        vals = payoff_eval(payoff, grid) * np.power(grid / x0, -k1)
     else:
         ratio = lambda x: float(payoff_eval(payoff, x)) * exp(-k1 * (x - x0))
-
-    grid = np.linspace(x0, R, 1025)
-    vals = np.array([ratio(x) for x in grid])
+        vals = payoff_eval(payoff, grid) * np.exp(-k1 * (grid - x0))
     best = len(vals) - 1 - int(np.argmax(vals[::-1]))  # ties -> largest maximizer
     changes = np.flatnonzero(np.diff(np.sign(np.diff(vals))) != 0)
     unimodal = len(changes) <= 1

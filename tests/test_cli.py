@@ -264,6 +264,16 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_start_above_barrier_targets_immediate_payoff(self, capsys, cfg_file):
+        # x >= y stops at once: the policy is worth g(x) = min(3, 4) - 1, not g(y)
+        cfg = dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 4.0, "I": 1.0}})
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(cfg),
+                                 "--x", "3", "--y", "2", "--assert")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["mean"] == data["target_analytic"] == 2.0
+        assert data["z_score"] == 0.0
+
     def test_needs_target(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "simulate", "--config", cfg_file(TABLE1_CFG),
                                "--x", "0.0")
@@ -347,6 +357,8 @@ class TestExitCodes:
         ("--y", "2.0", "--horizon", "nan"),
         ("--grid", "2.0:2.8:5", "--horizon", "inf"),
         ("--y", "2.0", "--x", "nan"),
+        ("--y", "0.5", "--n", "0"),  # start above the barrier: n is still checked
+        ("--y", "0.5", "--n", "1"),
     ])
     def test_bad_simulation_input(self, capsys, cfg_file, flags):
         code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
@@ -354,6 +366,36 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [
+        ("drift", float("nan")),
+        ("drift", float("inf")),
+        ("drift", "abc"),
+        ("volatility", None),
+        ("lambda", True),
+        ("r", 10 ** 400),
+        ("jump_dist", "beta"),
+        ("jump_dist", {"kind": "beta", "params": {"c": 1.25, "d": float("-inf")}}),
+        ("jump_dist", {"kind": ["beta"], "params": {}}),
+        ("jump_dist", {"kind": "beta", "params": [1.25, 5.0]}),
+        ("payoff", {"kind": "power_call", "params": {"a": 1.0, "b": 1.0, "K": float("inf")}}),
+        ("payoff", {"kind": "power_call", "params": {"a": 1.0, "b": [1.0], "K": 1.0}}),
+    ])
+    def test_bad_config_value(self, capsys, cfg_file, key, value):
+        cfg = dict(FIG2_CFG, **{key: value})
+        for command in ("root", "solve"):
+            code, out, err = run_cli(capsys, command, "--config", cfg_file(cfg))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert key in err
+
+    def test_overlong_integer_is_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(FIG2_CFG).replace("0.025", "1" * 5000))
+        code, _, err = run_cli(capsys, "root", "--config", str(path))
+        assert code == 2
+        assert "not valid JSON" in err
 
 
 class TestInstalledScript:
@@ -365,3 +407,11 @@ class TestInstalledScript:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k1"] == pytest.approx(0.6295591279614878, abs=1e-9)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half of a cold start; the CLI must not need it
+        code = "import sys, levystop.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

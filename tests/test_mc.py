@@ -276,6 +276,13 @@ class TestPolicyValue:
         assert pol.mean == float(payoff_eval(payoff, 3.0))
         assert pol.stderr == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_path_count_checked_above_barrier(self, fig2, n):
+        with pytest.raises(InvalidModel, match="paths"):
+            policy_value(fig2, PowerCall(1.0, 1.0, 1.0), 3.0, 2.4, n, seed=21)
+        with pytest.raises(InvalidModel, match="paths"):
+            estimate_laplace(fig2, 3.0, 2.4, n, seed=21)
+
     def test_suboptimal_thresholds_worth_less(self, fig2):
         # the analytic optimum beats stopping too early or too late
         payoff = PowerCall(1.0, 1.0, 1.0)

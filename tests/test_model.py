@@ -57,6 +57,21 @@ class TestJumpDists:
         with pytest.raises(InvalidModel):
             TabulatedJumps((0.1,), (0.5, 0.5))
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: GammaJumps(bad, 1.0),
+        lambda bad: GammaJumps(1.0, bad),
+        lambda bad: ExponentialJumps(bad),
+        lambda bad: BetaJumps(bad, 5.0),
+        lambda bad: BetaJumps(1.25, bad),
+        lambda bad: PointMassJumps(bad),
+        lambda bad: TabulatedJumps((0.1, bad), (0.5, 0.5)),
+        lambda bad: TabulatedJumps((0.1, 0.2), (0.5, bad)),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_parameters_must_be_finite(self, make, bad):
+        with pytest.raises(InvalidModel, match="finite"):
+            make(bad)
+
     def test_support(self):
         assert GammaJumps(1.0, 1.0).support == (0.0, np.inf)
         assert BetaJumps(2.0, 2.0).support == (0.0, 1.0)
@@ -214,7 +229,33 @@ class TestTabulatedPayoff:
             TabulatedPayoff(bp, vals)  # 65 breakpoints: one too many
 
 
+class TestPayoffFiniteness:
+    @pytest.mark.parametrize("make", [
+        lambda bad: CappedCall(K=bad, I=1.0),
+        lambda bad: CappedCall(K=2.0, I=bad),
+        lambda bad: PowerCall(bad, 1.0, 1.0),
+        lambda bad: PowerCall(1.0, bad, 1.0),
+        lambda bad: PowerCall(1.0, 1.0, bad),
+        lambda bad: TabulatedPayoff((0.0, bad), (-1.0, 1.0)),
+        lambda bad: TabulatedPayoff((0.0, 1.0), (-1.0, bad)),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_parameters_must_be_finite(self, make, bad):
+        with pytest.raises(BadPayoff, match="finite"):
+            make(bad)
+
+
 class TestModel:
+    @pytest.mark.parametrize("field", ["drift", "volatility", "jump_intensity",
+                                       "discount", "jump_scale"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_parameters_must_be_finite(self, field, bad):
+        params = dict(family=Family.ARITHMETIC, drift=0.04, volatility=0.1,
+                      jump_intensity=0.1, jump_dist=GammaJumps(1.0, 1.0), discount=0.05)
+        params[field] = bad
+        with pytest.raises(InvalidModel, match=field):
+            Model(**params)
+
     def test_volatility_must_be_positive(self):
         with pytest.raises(NonPositiveVolatility):
             Model(Family.ARITHMETIC, 0.04, 0.0, 0.0, None, 0.05)
@@ -342,6 +383,43 @@ class TestConfig:
         cfg["jump_dist"] = {"kind": "beta", "params": {"c": 1.25, "d": 5.0, "e": 1.0}}
         with pytest.raises(InvalidModel, match="unexpected"):
             model_from_config(cfg)
+
+    @pytest.mark.parametrize("path,value", [
+        (("drift",), float("nan")),
+        (("drift",), "0.025"),
+        (("r",), None),
+        (("lambda",), False),
+        (("jump_scale",), 10 ** 400),
+        (("jump_dist",), "beta"),
+        (("jump_dist", "kind"), None),
+        (("jump_dist", "extra"), 1),
+        (("jump_dist", "params"), None),
+        (("jump_dist", "params", "c"), {"v": 1.25}),
+        (("payoff", "params", "K"), float("inf")),
+    ])
+    def test_values_type_checked(self, path, value):
+        cfg = dict(self.CFG)
+        target = cfg
+        for key in path[:-1]:  # copy each nested dict before changing it
+            target[key] = dict(target[key])
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvalidModel, match=path[0]):
+            model_from_config(cfg)
+
+    def test_tabulated_lists_checked_elementwise(self):
+        cfg = {"family": "arithmetic", "drift": 0.04, "volatility": 0.1, "r": 0.05,
+               "lambda": 0.1,
+               "jump_dist": {"kind": "tabulated",
+                             "params": {"nodes": [0.1, "x"], "weights": [0.5, 0.5]}}}
+        with pytest.raises(InvalidModel, match=r"jump_dist\.params\.nodes\[1\]"):
+            model_from_config(cfg)
+        cfg["jump_dist"]["params"]["nodes"] = 0.1
+        with pytest.raises(InvalidModel, match="list of numbers"):
+            model_from_config(cfg)
+        cfg["jump_dist"]["params"]["nodes"] = [0.1, 2]  # ints are numbers
+        model, _ = model_from_config(cfg)
+        assert model.jump_dist.nodes == (0.1, 2.0)
 
     def test_invalid_pairing_caught(self):
         cfg = dict(self.CFG)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,20 @@ class TestSolveK1:
         base = Model(Family.GEOMETRIC, 0.04, 0.25, 0.0, None, 0.02)
         k0 = solve_k1(base).k1
         assert ks[0].k1 > k0
+
+
+class TestSpeed:
+    def test_arithmetic_beta_root_under_a_millisecond(self):
+        # Beta marks on the arithmetic family have a closed-form Laplace
+        # transform; a root costs a handful of char_eq calls, no quadrature
+        model = Model(Family.ARITHMETIC, drift=0.04, volatility=0.1, jump_intensity=0.2,
+                      jump_dist=BetaJumps(1.25, 5.0), discount=0.05)
+        times = []
+        for _ in range(50):
+            t0 = time.perf_counter()
+            solve_k1(model)
+            times.append(time.perf_counter() - t0)
+        assert statistics.median(times) < 1e-3
 
 
 class TestPsi:

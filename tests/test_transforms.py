@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from levystop import (
     BadSupport,
@@ -63,12 +63,30 @@ class TestLaplace:
         want = 0.25 * math.exp(-0.2) + 0.75 * math.exp(-0.8)
         assert laplace_transform(dist, 1.0) == pytest.approx(want, abs=1e-14)
 
-    def test_beta_quadrature_matches_series(self):
-        # E[e^{-sZ}] for Beta(c, d) is Kummer's 1F1(c; c+d; -s)
+    def test_beta_laplace_matches_mpmath_integral(self):
+        # the Beta density integrated by mpmath at 30 digits, independent of
+        # the Kummer-function identity the package evaluates
         dist = BetaJumps(1.25, 5.0)
-        for s in (0.3, 1.0, 2.5):
-            want = float(special.hyp1f1(dist.c, dist.c + dist.d, -s))
-            assert laplace_transform(dist, s) == pytest.approx(want, rel=1e-9)
+        with mpmath.workdps(30):
+            norm = mpmath.beta(dist.c, dist.d)
+            for s in (0.3, 1.0, 2.5):
+                want = mpmath.quad(lambda z: mpmath.exp(-s * z) * z ** (dist.c - 1)
+                                   * (1 - z) ** (dist.d - 1), [0, 1]) / norm
+                assert laplace_transform(dist, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+    def test_beta_deep_tail_pinned(self):
+        # mpmath at 30 digits: 3.07918313008451613795e-29; the adaptive
+        # quadrature this replaced returned 3.0599e-29 here
+        assert laplace_transform(BetaJumps(50.0, 80.0), 300.0) == pytest.approx(
+            3.0791831300845e-29, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [3.3e-271, -1e-300, 5e-324, 1e-100, 1e-20, 9.99e-9, 1.01e-8])
+    def test_beta_tiny_argument(self, s):
+        # scipy's hyp1f1 gives inf or nan for |s| below about 1e-195
+        c, d = 0.109375, 1.0
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(c, c + d, -s))
+        assert laplace_transform(BetaJumps(c, d), s) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_negative_s_allowed_inside_strip(self):
         # marks are subtracted from the state, so negative s shows up for
@@ -80,6 +98,8 @@ class TestLaplace:
             laplace_transform(GammaJumps(1.0, 1.0), -1.0)
         with pytest.raises(DivergentTransform):
             laplace_transform(ExponentialJumps(0.5), -0.5)
+        with pytest.raises(DivergentTransform):
+            laplace_transform(BetaJumps(1.0, 1.0), -1000.0)  # (e^1000 - 1)/1000 overflows
 
     def test_monte_carlo_cross_check(self):
         gen = np.random.default_rng(314)
@@ -155,6 +175,32 @@ class TestLogOneMinus:
     def test_requires_unit_interval_support(self):
         with pytest.raises(BadSupport):
             log_one_minus_mean(ExponentialJumps(1.0))
+
+
+class TestBetaMpmathOracle:
+    """Beta transforms against mpmath at 30 digits over drawn laws and arguments."""
+
+    @given(c=st.floats(0.1, 100.0), d=st.floats(0.1, 100.0), s=st.floats(-50.0, 1000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_laplace(self, c, d, s):
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(c, c + d, -s))
+        assert laplace_transform(BetaJumps(c, d), s) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @given(c=st.floats(0.1, 100.0), d=st.floats(0.1, 100.0), frac=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_power(self, c, d, frac):
+        k = -0.9 * d + frac * (20.0 + 0.9 * d)  # k in [-0.9 d, 20]
+        with mpmath.workdps(30):
+            want = float(mpmath.beta(c, d + k) / mpmath.beta(c, d))
+        assert power_transform(BetaJumps(c, d), k) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @given(c=st.floats(0.1, 100.0), d=st.floats(0.1, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_log_one_minus(self, c, d):
+        with mpmath.workdps(30):
+            want = float(mpmath.digamma(d) - mpmath.digamma(c + d))
+        assert log_one_minus_mean(BetaJumps(c, d)) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 class TestShapeProperties:
