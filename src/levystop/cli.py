@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,7 +63,10 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: an overflow upstream
+        raise SolverError(f"result is not finite: {exc}") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -153,11 +158,9 @@ def cmd_solve(args) -> int:
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
     _emit_json(payload, args.out)
     if args.csv:
-        rows = zip(report.grid, report.v_low, report.v, report.v_high)
-        _csv_out(["x", "v_low", "v", "v_high"],
-                 [[repr(float(a)), repr(float(b)), repr(float(c)), repr(float(d))]
-                  for a, b, c, d in rows],
-                 None if args.csv == "-" else args.csv)
+        # csv writes each Python float as its repr
+        rows = np.column_stack((report.grid, report.v_low, report.v, report.v_high)).tolist()
+        _csv_out(["x", "v_low", "v", "v_high"], rows, None if args.csv == "-" else args.csv)
     return 0
 
 
@@ -175,9 +178,7 @@ def cmd_reproduce(args) -> int:
                 "figure3": reproduce.figure3}
     columns = builders[target]()
     names = list(columns)
-    rows = [[repr(float(columns[n][i])) for n in names]
-            for i in range(len(columns[names[0]]))]
-    _csv_out(names, rows, args.out)
+    _csv_out(names, np.column_stack([columns[n] for n in names]).tolist(), args.out)
     return 0
 
 
@@ -189,13 +190,9 @@ def cmd_sweep(args) -> int:
     values = _parse_range(args.range)
     rows = []
     k1s, xs = [], []
-    for v in values:
-        if args.param == "sigma":
-            m = Model(model.family, model.drift, float(v), model.jump_intensity,
-                      model.jump_dist, model.discount, model.jump_scale)
-        else:
-            m = Model(model.family, model.drift, model.volatility, float(v),
-                      model.jump_dist, model.discount, model.jump_scale)
+    name = "volatility" if args.param == "sigma" else "jump_intensity"
+    for v in values.tolist():
+        m = replace(model, **{name: v})
         root = solve_k1(m)
         sol = solve_threshold(m, payoff, root)
         k1s.append(root.k1)
@@ -294,7 +291,9 @@ def _psi_ratio(model: Model, k1: float, x: float, y: float) -> float:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The levy-stop parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="levy-stop",
         description="optimal stopping for spectrally negative jump diffusions",
@@ -363,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except ArithmeticError as exc:  # SolverError, or float overflow on extreme inputs
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

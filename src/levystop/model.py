@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,6 @@ from .errors import (
     BadPayoff,
     InvalidModel,
     KinkPoint,
-    NoBreakEven,
     NonPositiveVolatility,
     ZeroDiscountForThreshold,
 )
@@ -256,12 +256,18 @@ class TabulatedPayoff:
     the last it continues linearly with the terminal slope. At most 64
     breakpoints; values must be nondecreasing and cross zero so a unique
     break-even point exists.
+
+    Construction caches the spline, its terminal slope, the break-even
+    point, and per interval the left breakpoint with the coefficients of
+    g and g', which payoff_eval and payoff_deriv sum for a float x.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     _spline: PchipInterpolator = field(init=False, repr=False, compare=False)
     _end_slope: float = field(init=False, repr=False, compare=False)
+    _pieces: tuple = field(init=False, repr=False, compare=False)
+    _break_even: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp = tuple(float(v) for v in self.breakpoints)
@@ -281,9 +287,42 @@ class TabulatedPayoff:
             raise BadPayoff("tabulated payoff is positive everywhere: no break-even point")
         if vals[-1] <= 0:
             raise BadPayoff("tabulated payoff never becomes positive")
-        spline = PchipInterpolator(np.asarray(bp), np.asarray(vals), extrapolate=False)
+        try:
+            spline = PchipInterpolator(np.asarray(bp), np.asarray(vals), extrapolate=False)
+        except ValueError as exc:  # slopes overflow on extreme tables
+            raise BadPayoff(f"tabulated payoff cannot be interpolated: {exc}") from exc
+        deriv = spline.derivative()
         object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_end_slope", float(spline.derivative()(bp[-1])))
+        object.__setattr__(self, "_end_slope", float(deriv(bp[-1])))
+        object.__setattr__(self, "_pieces", tuple(zip(
+            bp[:-1], spline.c[::-1].T.tolist(), deriv.c[::-1].T.tolist())))
+        # bisection to 1e-12 on the segment where g turns positive (the
+        # last nonpositive node is never the last node: vals[-1] > 0)
+        idx = max(i for i, v in enumerate(vals) if v <= 0.0)
+        lo, hi = bp[idx], bp[idx + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _piece_sum(self, mid, 1) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+                break
+        object.__setattr__(self, "_break_even", 0.5 * (lo + hi))
+
+
+def _piece_sum(payoff: TabulatedPayoff, x: float, which: int) -> float:
+    """The spline (which = 1) or its derivative (which = 2) at x in
+    [breakpoints[0], breakpoints[-1]]: sum c_k s^k by ascending k, as
+    scipy's PPoly does, so the result is bitwise equal to the spline's."""
+    bp = payoff.breakpoints
+    piece = payoff._pieces[min(bisect_right(bp, x), len(bp) - 1) - 1]
+    s = x - piece[0]
+    out, power = 0.0, 1.0
+    for c in piece[which]:
+        out += c * power
+        power *= s
+    return out
 
 
 Payoff = CappedCall | PowerCall | TabulatedPayoff
@@ -291,6 +330,11 @@ Payoff = CappedCall | PowerCall | TabulatedPayoff
 
 def payoff_eval(payoff: Payoff, x):
     """g(x), vectorized over x."""
+    if isinstance(payoff, TabulatedPayoff) and isinstance(x, float):
+        x, bp = float(x), payoff.breakpoints
+        if x > bp[-1]:
+            return payoff.values[-1] + payoff._end_slope * (x - bp[-1])
+        return _piece_sum(payoff, max(x, bp[0]), 1)
     x = np.asarray(x, dtype=float)
     if isinstance(payoff, CappedCall):
         out = np.maximum(np.minimum(x, payoff.K) - payoff.I, 0.0)
@@ -312,11 +356,8 @@ def payoff_kinks(payoff: Payoff) -> tuple[float, ...]:
         x0 = break_even(payoff)
         # b = 1 joins with slope a on both sides only if K = 0; K > 0 always kinks
         return (x0,)
-    kinks = []
-    d = payoff._spline.derivative()
-    if abs(float(d(payoff.breakpoints[0]))) > 1e-12:
-        kinks.append(payoff.breakpoints[0])
-    return tuple(kinks)
+    first = payoff.breakpoints[0]
+    return (first,) if abs(_piece_sum(payoff, first, 2)) > 1e-12 else ()
 
 
 def payoff_deriv(payoff: Payoff, x: float, side: str = "right") -> float:
@@ -342,7 +383,7 @@ def payoff_deriv(payoff: Payoff, x: float, side: str = "right") -> float:
         return 0.0
     if x >= bp[-1]:
         return payoff._end_slope
-    return float(payoff._spline.derivative()(x))
+    return _piece_sum(payoff, float(x), 2)
 
 
 def break_even(payoff: Payoff) -> float:
@@ -351,27 +392,7 @@ def break_even(payoff: Payoff) -> float:
         return payoff.I
     if isinstance(payoff, PowerCall):
         return (payoff.K / payoff.a) ** (1.0 / payoff.b)
-    bp, vals = payoff.breakpoints, payoff.values
-    if vals[0] == 0.0:
-        # flat-zero foot: break-even is the last zero of g
-        idx = max(i for i, v in enumerate(vals) if v <= 0.0)
-        lo, hi = bp[idx], bp[min(idx + 1, len(bp) - 1)]
-    else:
-        idx = max(i for i, v in enumerate(vals) if v <= 0.0)
-        if idx == len(bp) - 1:
-            raise NoBreakEven("tabulated payoff never becomes positive")
-        lo, hi = bp[idx], bp[idx + 1]
-    g = payoff._spline
-    # bisection to 1e-12 on the containing segment
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    return payoff._break_even
 
 
 # ---------------------------------------------------------------------------

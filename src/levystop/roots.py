@@ -127,7 +127,7 @@ def solve_k1(model: Model) -> RootResult:
         return RootResult(lo, lo, hi, flo, 0)
     if fhi <= 0.0:
         return RootResult(hi, lo, hi, fhi, 0)
-    k1, info = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
+    k1, info = _brentq(f, lo, hi)
     resid = f(k1)
     if abs(resid) > 1e-12 * _eq_scale(model, k1):
         raise SolverError(f"root residual {resid:.3g} above tolerance")
@@ -147,8 +147,15 @@ def _solve_zero_discount(model: Model) -> RootResult:
             break
     else:
         raise NoPositiveRoot("no strictly positive root found at r = 0")
-    k1, info = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
+    k1, info = _brentq(f, lo, hi)
     return RootResult(k1, 0.0, hi, f(k1), int(info.iterations))
+
+
+def _brentq(f, lo: float, hi: float):
+    try:
+        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
+    except (ValueError, RuntimeError) as exc:  # a NaN equation value, or no convergence
+        raise SolverError(f"root search failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,8 @@ def solve_threshold(model: Model, payoff: Payoff,
         multiplier = k1 / (k1 - b)
     else:
         x_star, unimodal = _solve_tabulated(model, payoff, k1)
+    if not isfinite(x_star):  # e.g. a power payoff whose break-even overflows
+        raise NoFiniteThreshold(f"threshold is not finite: x* = {x_star}")
 
     return ThresholdSolution(
         model=model,

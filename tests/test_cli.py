@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from levystop import reproduce
-from levystop.cli import main
+from levystop.cli import build_parser, main
 
 FIG2_CFG = {
     "family": "geometric",
@@ -390,12 +394,147 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert key in err
 
+    @pytest.mark.parametrize("command,base,key,value,expected", [
+        # the characteristic equation turns NaN inside brentq
+        ("root", TABLE1_CFG, "drift", -1e257, 3),
+        ("root", FIG2_CFG, "r", 1e308, 3),
+        ("root", FIG2_CFG, "jump_dist", {"kind": "beta", "params": {"c": 5e-324, "d": 5.0}}, 3),
+        # sigma**2 overflows
+        ("root", FIG2_CFG, "volatility", 1e308, 3),
+        # k1 and its residual come out NaN
+        ("root", TABLE1_CFG, "lambda", 1e308, 3),
+        # PCHIP slopes are not finite
+        ("solve", TABLE1_CFG, "payoff", {"kind": "tabulated", "params": {
+            "breakpoints": [-0.5, 0.2, 0.9, 1e308], "values": [-0.4, -0.1, 0.5, 1.2]}}, 2),
+        # the break-even point K/a overflows, or x*/grid spacing does
+        ("solve", FIG2_CFG, "payoff", {"kind": "power_call",
+                                       "params": {"a": 5e-324, "b": 1.0, "K": 1.0}}, 3),
+        ("solve", FIG2_CFG, "payoff", {"kind": "power_call",
+                                       "params": {"a": 1.0, "b": 1.0, "K": 5e-324}}, 3),
+        ("sweep", FIG2_CFG, "payoff", {"kind": "power_call",
+                                       "params": {"a": 5e-324, "b": 1.0, "K": 1.0}}, 3),
+    ])
+    def test_extreme_values_fail_cleanly(self, capsys, cfg_file, command, base, key, value,
+                                         expected):
+        extra = ["--param", "sigma", "--range", "0.05:0.3:3"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--config", cfg_file(dict(base, **{key: value})),
+                                 *extra)
+        assert code == expected
+        assert out == ""
+        assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
+
     def test_overlong_integer_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(json.dumps(FIG2_CFG).replace("0.025", "1" * 5000))
         code, _, err = run_cli(capsys, "root", "--config", str(path))
         assert code == 2
         assert "not valid JSON" in err
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once; no call may see another call's options."""
+
+    def test_sequence_matches_fresh_processes(self, capsys, cfg_file):
+        table1 = cfg_file(TABLE1_CFG, "table1.json")
+        fig2 = cfg_file(FIG2_CFG, "fig2.json")
+        bad = cfg_file(dict(FIG2_CFG, drift="abc"), "bad.json")
+        requests = [
+            (["solve", "--config", table1, "--payoff", "capped", "--K", "2", "--I", "1"], 0),
+            (["solve", "--config", table1], 2),  # the override must not carry over
+            (["solve", "--config", fig2, "--x", "1.0", "--csv", "-"], 0),
+            (["sweep", "--config", fig2, "--param", "sigma", "--range", "0.05:0.3:6"], 0),
+            (["reproduce", "--target", "table1"], 0),
+            (["root", "--config", fig2], 0),
+            (["reproduce", "--target", "table9"], None),  # argparse rejects it
+            (["root", "--config", bad], 2),
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fresh = list(pool.map(
+                lambda argv: subprocess.run([sys.executable, "-m", "levystop.cli", *argv],
+                                            capture_output=True, timeout=120),
+                [argv for argv, _ in requests]))
+        assert build_parser() is build_parser()
+        for (argv, expected), proc in zip(requests, fresh):
+            if expected is None:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                code, expected = exc.value.code, 2
+            else:
+                code = main(argv)
+            captured = capsys.readouterr()
+            assert code == proc.returncode == expected, argv
+            assert captured.out.encode() == proc.stdout, argv
+            assert captured.err.encode() == proc.stderr, argv
+
+
+def _paths(node, prefix=()):
+    """Every key path in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+TABULATED_CFG = dict(TABLE1_CFG, jump_dist={
+    "kind": "tabulated", "params": {"nodes": [0.2, 0.8], "weights": [0.4, 0.6]}},
+    payoff={"kind": "tabulated", "params": {
+        "breakpoints": [-0.5, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}})
+CAPPED_CFG = dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 2.0, "I": 1.0}})
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(), st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.floats(), max_size=2))
+
+
+class TestConfigMutations:
+    """Any config, however broken, ends in exit 0, 2 or 3 with a one-line message."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from([FIG2_CFG, CAPPED_CFG, TABULATED_CFG]),
+           command=st.sampled_from(["root", "solve"]), data=st.data())
+    def test_exit_code_contract(self, capsys, tmp_path, base, command, data):
+        cfg = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_paths(cfg))
+            kind = data.draw(st.sampled_from(["set", "drop", "extra", "nest"]))
+            if kind == "extra":
+                parent = _at(cfg, data.draw(st.sampled_from(
+                    [p for p in paths if isinstance(_at(cfg, p), dict)])))
+                key = data.draw(st.one_of(st.sampled_from(["K", "c", "lambda", "params"]),
+                                          st.text(max_size=3)))
+                parent[key] = data.draw(JSON_VALUES)
+                continue
+            inner = [p for p in paths[1:] if kind != "drop" or isinstance(_at(cfg, p[:-1]), dict)]
+            if not inner:
+                continue
+            path = data.draw(st.sampled_from(inner))
+            parent, key = _at(cfg, path[:-1]), path[-1]
+            if kind == "set":
+                parent[key] = data.draw(JSON_VALUES)
+            elif kind == "drop":
+                del parent[key]
+            else:
+                parent[key] = data.draw(st.sampled_from([
+                    [parent[key]], {"kind": "beta", "params": parent[key]}, {"value": parent[key]}]))
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code in (0, 2, 3), (cfg, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+        else:
+            assert out == ""
+            assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1, err
 
 
 class TestInstalledScript:

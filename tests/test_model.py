@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levystop import (
     BadJumpSupport,
@@ -227,6 +229,63 @@ class TestTabulatedPayoff:
         vals = tuple(float(i - 1) for i in range(65))
         with pytest.raises(BadPayoff):
             TabulatedPayoff(bp, vals)  # 65 breakpoints: one too many
+
+
+@st.composite
+def tabulated_payoffs(draw):
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(1e-3, 3.0), min_size=n - 1, max_size=n - 1))
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                          min_size=n - 1, max_size=n - 1))
+    bp = [draw(st.floats(-5.0, 5.0))]
+    vals = [-draw(st.floats(0.0, 3.0))]
+    for gap, step in zip(gaps, steps):
+        bp.append(bp[-1] + gap)
+        vals.append(vals[-1] + step)
+    if vals[-1] <= 0.0:
+        vals[-1] = draw(st.floats(1e-3, 2.0))
+    return TabulatedPayoff(tuple(bp), tuple(vals))
+
+
+class TestTabulatedScalarPath:
+    """A float argument skips numpy; the result must be the spline's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(g=tabulated_payoffs(), u=st.floats(0.0, 1.0, exclude_max=True),
+           d=st.floats(1e-9, 10.0))
+    def test_bitwise_equal_to_spline(self, g, u, d):
+        bp = g.breakpoints
+        inside = [a + u * (b - a) for a, b in zip(bp, bp[1:])]
+        deriv = g._spline.derivative()
+        for x in inside + list(bp):
+            assert payoff_eval(g, x) == float(g._spline(x))
+        for x in inside + list(bp) + [bp[0] - d, bp[-1] + d]:
+            value = payoff_eval(g, x)
+            assert type(value) is float
+            assert value == payoff_eval(g, np.array([x]))[0]
+        for x in inside + list(bp[:-1]):
+            assert payoff_deriv(g, x) == float(deriv(x))
+            assert payoff_deriv(g, x) == deriv(np.array([x]))[0]
+        assert payoff_eval(g, bp[0] - d) == float(g._spline(bp[0]))
+        assert payoff_deriv(g, bp[0] - d) == 0.0
+        assert payoff_deriv(g, bp[-1] + d) == payoff_deriv(g, bp[-1]) == g._end_slope
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(g=tabulated_payoffs())
+    def test_cached_break_even_matches_bisection(self, g):
+        # the array-path bisection break_even ran on every call before it was cached
+        bp, vals = g.breakpoints, g.values
+        idx = max(i for i, v in enumerate(vals) if v <= 0.0)
+        lo, hi = bp[idx], bp[idx + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if g._spline(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+                break
+        assert break_even(g) == 0.5 * (lo + hi)
 
 
 class TestPayoffFiniteness:
