@@ -28,7 +28,6 @@ from .errors import (
     InvalidModel,
     KinkPoint,
     LevyStopError,
-    NoBreakEven,
     NoFiniteThreshold,
     NonPositiveVolatility,
     NoPositiveRoot,
@@ -61,13 +60,11 @@ from .model import (
     break_even,
     model_from_config,
     model_to_config,
-    payoff_deriv,
     payoff_eval,
-    payoff_kinks,
     validate,
 )
 from .roots import RootResult, char_eq, continuous_root, psi, psi_prime, psi_second, solve_k1
-from .stopping import ThresholdSolution, foc, smooth_fit_gap, solve_threshold, value_fn
-from .transforms import laplace_transform, log_one_minus_mean, mean_jump, power_transform
+from .stopping import ThresholdSolution, foc, solve_threshold, value_fn
+from .transforms import laplace_transform, log_one_minus_mean, power_transform
 
 __version__ = "0.1.0"

@@ -24,10 +24,9 @@ from math import log
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .model import Family, Model, Payoff, break_even
-from .roots import continuous_root, solve_k1
+from .model import Family, Model, Payoff
+from .roots import jump_transform, solve_k1
 from .stopping import ThresholdSolution, solve_threshold, value_fn
-from .transforms import laplace_transform, power_transform
 
 __all__ = [
     "SandwichReport",
@@ -59,19 +58,11 @@ class SandwichReport:
     solution: ThresholdSolution
 
 
-def _transform_at_root(model: Model, k1: float) -> float:
-    if model.jump_intensity == 0.0 or model.jump_dist is None:
-        return 1.0
-    if model.family is Family.ARITHMETIC:
-        return laplace_transform(model.jump_dist, model.jump_scale * k1)
-    return power_transform(model.jump_dist, k1)
-
-
 def adjusted_discount(model: Model, k1: float) -> float:
     """theta* in (r, r + lambda]: the discount a continuous diffusion with the
     compensated drift must carry to share the exponent k1."""
     lam = model.jump_intensity
-    return model.discount + lam * (1.0 - _transform_at_root(model, k1))
+    return model.discount + lam * (1.0 - jump_transform(model, k1))
 
 
 def adjusted_drift(model: Model, k1: float) -> float:
@@ -84,7 +75,7 @@ def adjusted_drift(model: Model, k1: float) -> float:
     lam = model.jump_intensity
     if lam == 0.0:
         return model.compensated_drift
-    return model.compensated_drift + (lam / k1) * _transform_at_root(model, k1)
+    return model.compensated_drift + (lam / k1) * jump_transform(model, k1)
 
 
 def certainty_growth(model: Model, k1: float, x: float | None = None) -> float:
@@ -117,7 +108,7 @@ def certainty_time(model: Model, k1: float, x: float, x_star: float) -> float:
 
 
 def _default_grid(model: Model, payoff: Payoff, x_star_high: float, n: int) -> np.ndarray:
-    x0 = break_even(payoff)
+    x0 = payoff.break_even()
     if model.family is Family.ARITHMETIC:
         lo = x0 - 5.0
     else:

@@ -30,9 +30,8 @@ from .model import (
     PowerCall,
     model_from_config,
     model_to_config,
-    payoff_eval,
 )
-from .roots import solve_k1
+from .roots import psi_ratio, solve_k1
 from .stopping import solve_threshold, value_fn
 
 UNCHECKED = [
@@ -249,12 +248,12 @@ def cmd_simulate(args) -> int:
         est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
                               args.horizon)
         # at or above the barrier the policy stops at once and is worth g(x)
-        g_stop = float(payoff_eval(payoff, max(args.x, args.y)))
-        target = g_stop * _psi_ratio(model, root.k1, args.x, args.y)
+        g_stop = payoff.eval(max(args.x, args.y))
+        target = g_stop * psi_ratio(model, root.k1, args.x, args.y)
     else:
         est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
                                   args.horizon)
-        target = _psi_ratio(model, root.k1, args.x, args.y)
+        target = psi_ratio(model, root.k1, args.x, args.y)
     z = 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr
     payload = {
         "mean": est.mean,
@@ -272,19 +271,6 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 4
     return 0
-
-
-def _psi_ratio(model: Model, k1: float, x: float, y: float) -> float:
-    """psi(x)/psi(y), the analytic discounted first-passage value."""
-    if x >= y:
-        return 1.0
-    from math import exp
-
-    if model.family.value == "arithmetic":
-        return exp(k1 * (x - y))
-    if x <= 0:
-        return 0.0
-    return (x / y) ** k1
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy warnings would add stderr lines; finiteness checks catch what matters
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except InvalidModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

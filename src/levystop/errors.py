@@ -14,7 +14,6 @@ __all__ = [
     "BadPayoff",
     "BadSupport",
     "ZeroDiscountForThreshold",
-    "NoBreakEven",
     "SolverError",
     "DivergentTransform",
     "BracketFailure",
@@ -55,10 +54,6 @@ class BadSupport(InvalidModel):
 
 class ZeroDiscountForThreshold(InvalidModel):
     """Threshold problems need r > 0; r = 0 only prices hitting events."""
-
-
-class NoBreakEven(InvalidModel):
-    """Payoff never crosses zero, so no break-even point exists."""
 
 
 class SolverError(LevyStopError, ArithmeticError):

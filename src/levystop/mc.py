@@ -34,7 +34,7 @@ from math import exp, isfinite, log, sqrt
 import numpy as np
 
 from .errors import DomainError, InvalidModel
-from .model import Family, Model, Payoff, payoff_eval
+from .model import Family, Model, Payoff
 
 __all__ = [
     "MCEstimate",
@@ -285,9 +285,9 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     _require_paths(n)
     horizon = _horizon(model, horizon)
     if x >= y:
-        return MCEstimate(float(payoff_eval(payoff, x)), 0.0, n, horizon, 0.0, seed)
+        return MCEstimate(payoff.eval(x), 0.0, n, horizon, 0.0, seed)
     tau = first_passage_times(model, x, [y], n, seed, horizon)[:, 0]
-    return _estimate(tau, model, horizon, seed, float(payoff_eval(payoff, y)))
+    return _estimate(tau, model, horizon, seed, payoff.eval(y))
 
 
 def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n: int,
@@ -301,7 +301,7 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     horizon = _horizon(model, horizon)
     tau = first_passage_times(model, x, thresholds, n, seed, horizon)
-    gvals = np.atleast_1d(np.asarray(payoff_eval(payoff, thresholds), dtype=float))
+    gvals = np.atleast_1d(np.asarray(payoff.eval(thresholds), dtype=float))
     estimates = [MCEstimate(g, 0.0, n, horizon, 0.0, seed) if x >= y
                  else _estimate(tau[:, j], model, horizon, seed, g)
                  for j, (y, g) in enumerate(zip(thresholds, gvals.tolist()))]

@@ -17,22 +17,32 @@ which is what makes first passage upward continuous.
 Payoffs g are nonnegative, nondecreasing, with a unique break-even
 point x0 (g > 0 strictly above x0, g <= 0 at or below). Perpetual
 claims pay g(X_tau) at a stopping time tau, discounted at rate r.
+
+Each type carries its own maths. A jump law has support, unit_marks(),
+mean(), sample(gen, size) and laplace(s) = E[e^{-sZ}]; laws with marks
+inside [0, 1) also have power(k) = E[(1-Z)^k] and log_mean() =
+E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x, right=True)
+(the one-sided g'), kinks() (where the one-sided derivatives differ)
+and break_even() (x0); one whose g/psi has a closed-form maximizer also
+has threshold(k1, family) -> (x*, multiplier), see levystop.stopping.
 """
 from __future__ import annotations
 
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BadJumpSupport,
     BadPayoff,
+    DivergentTransform,
     InvalidModel,
-    KinkPoint,
+    NoFiniteThreshold,
     NonPositiveVolatility,
     ZeroDiscountForThreshold,
 )
@@ -52,8 +62,6 @@ __all__ = [
     "Model",
     "validate",
     "payoff_eval",
-    "payoff_deriv",
-    "payoff_kinks",
     "break_even",
     "model_from_config",
     "model_to_config",
@@ -101,6 +109,11 @@ class GammaJumps:
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.gamma(self.shape, 1.0 / self.rate, size)
 
+    def laplace(self, s: float) -> float:
+        if s <= -self.rate:
+            raise DivergentTransform(f"gamma Laplace transform diverges at s = {s}")
+        return (self.rate / (self.rate + s)) ** self.shape
+
 
 @dataclass(frozen=True)
 class ExponentialJumps:
@@ -123,6 +136,11 @@ class ExponentialJumps:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.exponential(1.0 / self.rate, size)
+
+    def laplace(self, s: float) -> float:
+        if s <= -self.rate:
+            raise DivergentTransform(f"exponential Laplace transform diverges at s = {s}")
+        return self.rate / (self.rate + s)
 
 
 @dataclass(frozen=True)
@@ -149,6 +167,29 @@ class BetaJumps:
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.beta(self.c, self.d, size)
 
+    def laplace(self, s: float) -> float:
+        """E[e^{-sZ}] = 1F1(c; c+d; -s), Kummer's function (DLMF 13.4.1)."""
+        # Kummer's integral form of 1F1, finite for every real s. scipy's
+        # hyp1f1 returns inf or nan for |s| below about 1e-195; there, and up to
+        # |s| = 1e-8, the series through s^2 is exact in double precision
+        c, d = self.c, self.d
+        if abs(s) < 1e-8:
+            return 1.0 - s * c / (c + d) * (1.0 - 0.5 * s * (c + 1.0) / (c + d + 1.0))
+        value = float(special.hyp1f1(c, c + d, -s))
+        if not math.isfinite(value):
+            raise DivergentTransform(f"beta Laplace transform overflowed at s = {s}")
+        return value
+
+    def power(self, k: float) -> float:
+        """E[(1-Z)^k] = B(c, d+k)/B(c, d), evaluated in log-gamma."""
+        if self.d + k <= 0:
+            raise DivergentTransform(f"beta power transform diverges at k = {k}")
+        return math.exp(special.betaln(self.c, self.d + k) - special.betaln(self.c, self.d))
+
+    def log_mean(self) -> float:
+        """E[ln(1-Z)] = digamma(d) - digamma(c+d)."""
+        return float(special.digamma(self.d) - special.digamma(self.c + self.d))
+
 
 @dataclass(frozen=True)
 class PointMassJumps:
@@ -173,6 +214,15 @@ class PointMassJumps:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.z)
+
+    def laplace(self, s: float) -> float:
+        return math.exp(-s * self.z)
+
+    def power(self, k: float) -> float:
+        return (1.0 - self.z) ** k
+
+    def log_mean(self) -> float:
+        return math.log1p(-self.z)
 
 
 @dataclass(frozen=True)
@@ -212,6 +262,15 @@ class TabulatedJumps:
         idx = np.searchsorted(cdf, gen.random(size), side="right")
         return np.asarray(self.nodes)[np.minimum(idx, len(self.nodes) - 1)]
 
+    def laplace(self, s: float) -> float:
+        return float(np.dot(self.weights, np.exp(-s * np.asarray(self.nodes))))
+
+    def power(self, k: float) -> float:
+        return float(np.dot(self.weights, (1.0 - np.asarray(self.nodes)) ** k))
+
+    def log_mean(self) -> float:
+        return float(np.dot(self.weights, np.log1p(-np.asarray(self.nodes))))
+
 
 JumpDist = GammaJumps | ExponentialJumps | BetaJumps | PointMassJumps | TabulatedJumps
 
@@ -232,6 +291,33 @@ class CappedCall:
         if not (self.K > self.I):
             raise BadPayoff("capped call needs K > I")
 
+    def eval(self, x):
+        out = np.maximum(np.minimum(np.asarray(x, dtype=float), self.K) - self.I, 0.0)
+        return out if out.ndim else float(out)
+
+    def deriv(self, x: float, right: bool = True) -> float:
+        if x < self.I or x > self.K:
+            return 0.0
+        if x == self.I:
+            return 1.0 if right else 0.0
+        if x == self.K:
+            return 0.0 if right else 1.0
+        return 1.0
+
+    def kinks(self) -> tuple[float, ...]:
+        return (self.I, self.K)
+
+    def break_even(self) -> float:
+        return self.I
+
+    def threshold(self, k1: float, family: Family) -> tuple[float, float | None]:
+        K, I = self.K, self.I
+        if family is Family.ARITHMETIC:
+            return (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None
+        if k1 >= K / (K - I):
+            return k1 * I / (k1 - 1.0), k1 / (k1 - 1.0)
+        return K, None
+
 
 @dataclass(frozen=True)
 class PowerCall:
@@ -246,6 +332,32 @@ class PowerCall:
         if not (self.a > 0 and self.b > 0 and self.K > 0):
             raise BadPayoff("power call needs a, b, K > 0")
 
+    def eval(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.maximum(self.a * np.power(np.maximum(x, 0.0), self.b) - self.K, 0.0)
+        return out if out.ndim else float(out)
+
+    def deriv(self, x: float, right: bool = True) -> float:
+        x0 = self.break_even()
+        if x < x0 or (x == x0 and not right):
+            return 0.0
+        return self.a * self.b * x ** (self.b - 1.0)
+
+    def kinks(self) -> tuple[float, ...]:
+        # b = 1 joins with slope a on both sides only if K = 0; K > 0 always kinks
+        return (self.break_even(),)
+
+    def break_even(self) -> float:
+        return (self.K / self.a) ** (1.0 / self.b)
+
+    def threshold(self, k1: float, family: Family) -> tuple[float, float]:
+        a, b, K = self.a, self.b, self.K
+        if k1 <= b:
+            raise NoFiniteThreshold(
+                f"power payoff growth b = {b} is not dominated: k1 = {k1:.6g} <= b"
+            )
+        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b)
+
 
 @dataclass(frozen=True)
 class TabulatedPayoff:
@@ -259,7 +371,7 @@ class TabulatedPayoff:
 
     Construction caches the spline, its terminal slope, the break-even
     point, and per interval the left breakpoint with the coefficients of
-    g and g', which payoff_eval and payoff_deriv sum for a float x.
+    g and g', which eval and deriv sum for a float x.
     """
 
     breakpoints: tuple[float, ...]
@@ -302,7 +414,7 @@ class TabulatedPayoff:
         lo, hi = bp[idx], bp[idx + 1]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if _piece_sum(self, mid, 1) <= 0.0:
+            if self._piece_sum(mid, 1) <= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -310,19 +422,45 @@ class TabulatedPayoff:
                 break
         object.__setattr__(self, "_break_even", 0.5 * (lo + hi))
 
+    def _piece_sum(self, x: float, which: int) -> float:
+        """The spline (which = 1) or its derivative (which = 2) at x in
+        [breakpoints[0], breakpoints[-1]]: sum c_k s^k by ascending k, as
+        scipy's PPoly does, so the result is bitwise equal to the spline's."""
+        bp = self.breakpoints
+        piece = self._pieces[min(bisect_right(bp, x), len(bp) - 1) - 1]
+        s = x - piece[0]
+        out, power = 0.0, 1.0
+        for c in piece[which]:
+            out += c * power
+            power *= s
+        return out
 
-def _piece_sum(payoff: TabulatedPayoff, x: float, which: int) -> float:
-    """The spline (which = 1) or its derivative (which = 2) at x in
-    [breakpoints[0], breakpoints[-1]]: sum c_k s^k by ascending k, as
-    scipy's PPoly does, so the result is bitwise equal to the spline's."""
-    bp = payoff.breakpoints
-    piece = payoff._pieces[min(bisect_right(bp, x), len(bp) - 1) - 1]
-    s = x - piece[0]
-    out, power = 0.0, 1.0
-    for c in piece[which]:
-        out += c * power
-        power *= s
-    return out
+    def eval(self, x):
+        bp = self.breakpoints
+        if isinstance(x, float):
+            x = float(x)
+            if x > bp[-1]:
+                return self.values[-1] + self._end_slope * (x - bp[-1])
+            return self._piece_sum(max(x, bp[0]), 1)
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self._spline(np.clip(x, bp[0], bp[-1])), dtype=float)
+        out = np.where(x > bp[-1], self.values[-1] + self._end_slope * (x - bp[-1]), out)
+        return out if out.ndim else float(out)
+
+    def deriv(self, x: float, right: bool = True) -> float:
+        bp = self.breakpoints
+        if x < bp[0] or (x == bp[0] and not right):
+            return 0.0
+        if x >= bp[-1]:
+            return self._end_slope
+        return self._piece_sum(float(x), 2)
+
+    def kinks(self) -> tuple[float, ...]:
+        first = self.breakpoints[0]
+        return (first,) if abs(self._piece_sum(first, 2)) > 1e-12 else ()
+
+    def break_even(self) -> float:
+        return self._break_even
 
 
 Payoff = CappedCall | PowerCall | TabulatedPayoff
@@ -330,69 +468,12 @@ Payoff = CappedCall | PowerCall | TabulatedPayoff
 
 def payoff_eval(payoff: Payoff, x):
     """g(x), vectorized over x."""
-    if isinstance(payoff, TabulatedPayoff) and isinstance(x, float):
-        x, bp = float(x), payoff.breakpoints
-        if x > bp[-1]:
-            return payoff.values[-1] + payoff._end_slope * (x - bp[-1])
-        return _piece_sum(payoff, max(x, bp[0]), 1)
-    x = np.asarray(x, dtype=float)
-    if isinstance(payoff, CappedCall):
-        out = np.maximum(np.minimum(x, payoff.K) - payoff.I, 0.0)
-    elif isinstance(payoff, PowerCall):
-        out = np.maximum(payoff.a * np.power(np.maximum(x, 0.0), payoff.b) - payoff.K, 0.0)
-    else:
-        bp = payoff.breakpoints
-        clipped = np.clip(x, bp[0], bp[-1])
-        out = np.asarray(payoff._spline(clipped), dtype=float)
-        out = np.where(x > bp[-1], payoff.values[-1] + payoff._end_slope * (x - bp[-1]), out)
-    return out if out.ndim else float(out)
-
-
-def payoff_kinks(payoff: Payoff) -> tuple[float, ...]:
-    """Points where the one-sided derivatives of g differ."""
-    if isinstance(payoff, CappedCall):
-        return (payoff.I, payoff.K)
-    if isinstance(payoff, PowerCall):
-        x0 = break_even(payoff)
-        # b = 1 joins with slope a on both sides only if K = 0; K > 0 always kinks
-        return (x0,)
-    first = payoff.breakpoints[0]
-    return (first,) if abs(_piece_sum(payoff, first, 2)) > 1e-12 else ()
-
-
-def payoff_deriv(payoff: Payoff, x: float, side: str = "right") -> float:
-    """One-sided derivative g'(x). side is "left" or "right"."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    right = side == "right"
-    if isinstance(payoff, CappedCall):
-        if x < payoff.I or x > payoff.K:
-            return 0.0
-        if x == payoff.I:
-            return 1.0 if right else 0.0
-        if x == payoff.K:
-            return 0.0 if right else 1.0
-        return 1.0
-    if isinstance(payoff, PowerCall):
-        x0 = break_even(payoff)
-        if x < x0 or (x == x0 and not right):
-            return 0.0
-        return payoff.a * payoff.b * x ** (payoff.b - 1.0)
-    bp = payoff.breakpoints
-    if x < bp[0] or (x == bp[0] and not right):
-        return 0.0
-    if x >= bp[-1]:
-        return payoff._end_slope
-    return _piece_sum(payoff, float(x), 2)
+    return payoff.eval(x)
 
 
 def break_even(payoff: Payoff) -> float:
     """The unique x0 with g > 0 strictly above and g <= 0 at or below."""
-    if isinstance(payoff, CappedCall):
-        return payoff.I
-    if isinstance(payoff, PowerCall):
-        return (payoff.K / payoff.a) ** (1.0 / payoff.b)
-    return payoff._break_even
+    return payoff.break_even()
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +552,7 @@ def validate(model: Model, payoff: Payoff | None = None) -> Model:
     if payoff is not None:
         if isinstance(payoff, PowerCall) and model.family is Family.ARITHMETIC:
             raise BadPayoff("power payoffs require geometric dynamics (x > 0)")
-        if model.family is Family.GEOMETRIC and break_even(payoff) <= 0:
+        if model.family is Family.GEOMETRIC and payoff.break_even() <= 0:
             raise BadPayoff("geometric dynamics need a positive break-even point")
     return model
 
@@ -480,23 +561,15 @@ def validate(model: Model, payoff: Payoff | None = None) -> Model:
 # JSON config wire format
 # ---------------------------------------------------------------------------
 
-_JUMP_KINDS = {
-    "gamma": (GammaJumps, ("shape", "rate")),
-    "exponential": (ExponentialJumps, ("rate",)),
-    "beta": (BetaJumps, ("c", "d")),
-    "point_mass": (PointMassJumps, ("z",)),
-    "tabulated": (TabulatedJumps, ("nodes", "weights")),
-}
-
-_PAYOFF_KINDS = {
-    "capped_call": (CappedCall, ("K", "I")),
-    "power_call": (PowerCall, ("a", "b", "K")),
-    "tabulated": (TabulatedPayoff, ("breakpoints", "values")),
-}
+def _kinds(**classes) -> dict:
+    """kind -> (class, {init field name: True when it takes a list of numbers})."""
+    return {kind: (cls, {f.name: str(f.type).startswith("tuple") for f in fields(cls) if f.init})
+            for kind, cls in classes.items()}
 
 
-# parameters that take a list of numbers; every other parameter takes one
-_SEQUENCE_PARAMS = {"nodes", "weights", "breakpoints", "values"}
+_JUMP_KINDS = _kinds(gamma=GammaJumps, exponential=ExponentialJumps, beta=BetaJumps,
+                     point_mass=PointMassJumps, tabulated=TabulatedJumps)
+_PAYOFF_KINDS = _kinds(capped_call=CappedCall, power_call=PowerCall, tabulated=TabulatedPayoff)
 
 
 def _number(value, key: str) -> float:
@@ -533,8 +606,8 @@ def _build(spec, table: dict, what: str):
     extra = [n for n in params if n not in names]
     if missing or extra:
         raise InvalidModel(f"{what} {kind!r} params: missing {missing}, unexpected {extra}")
-    parse = {n: _numbers if n in _SEQUENCE_PARAMS else _number for n in names}
-    return cls(**{n: parse[n](v, f"{what}.params.{n}") for n, v in params.items()})
+    return cls(**{n: (_numbers if names[n] else _number)(v, f"{what}.params.{n}")
+                  for n, v in params.items()})
 
 
 def model_from_config(cfg: dict) -> tuple[Model, Payoff | None]:
@@ -570,18 +643,11 @@ def model_from_config(cfg: dict) -> tuple[Model, Payoff | None]:
     return validate(model, payoff), payoff
 
 
-def _dist_config(dist: JumpDist) -> dict:
-    for kind, (cls, names) in _JUMP_KINDS.items():
-        if type(dist) is cls:
-            return {"kind": kind, "params": {n: getattr(dist, n) for n in names}}
-    raise TypeError(f"unregistered jump distribution {type(dist).__name__}")
-
-
-def _payoff_config(payoff: Payoff) -> dict:
-    for kind, (cls, names) in _PAYOFF_KINDS.items():
-        if type(payoff) is cls:
-            return {"kind": kind, "params": {n: getattr(payoff, n) for n in names}}
-    raise TypeError(f"unregistered payoff {type(payoff).__name__}")
+def _to_config(obj, table: dict) -> dict:
+    for kind, (cls, names) in table.items():
+        if type(obj) is cls:
+            return {"kind": kind, "params": {n: getattr(obj, n) for n in names}}
+    raise TypeError(f"unregistered config type {type(obj).__name__}")
 
 
 def model_to_config(model: Model, payoff: Payoff | None = None) -> dict:
@@ -592,8 +658,8 @@ def model_to_config(model: Model, payoff: Payoff | None = None) -> dict:
         "volatility": model.volatility,
         "jump_scale": model.jump_scale,
         "lambda": model.jump_intensity,
-        "jump_dist": None if model.jump_dist is None else _dist_config(model.jump_dist),
+        "jump_dist": None if model.jump_dist is None else _to_config(model.jump_dist, _JUMP_KINDS),
         "r": model.discount,
-        "payoff": None if payoff is None else _payoff_config(payoff),
+        "payoff": None if payoff is None else _to_config(payoff, _PAYOFF_KINDS),
     }
     return cfg

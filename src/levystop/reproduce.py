@@ -17,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import sandwich
-from .model import BetaJumps, Family, GammaJumps, Model, PowerCall, payoff_eval
-from .roots import continuous_root, solve_k1
+from .model import BetaJumps, Family, GammaJumps, Model, PowerCall
+from .roots import solve_k1
 from .stopping import solve_threshold, value_fn
 
-__all__ = ["SIGMAS", "LAMBDAS", "table", "table1", "table2", "table3",
-           "figure1", "figure2", "figure3", "TARGETS"]
+__all__ = ["SIGMAS", "LAMBDAS", "table", "figure1", "figure2", "figure3", "TARGETS"]
 
 SIGMAS = (0.05, 0.10, 0.15, 0.20, 0.25)
 LAMBDAS = (0.0, 0.1, 0.2)
@@ -51,18 +50,6 @@ def table(name: str) -> np.ndarray:
             k1 = solve_k1(model).k1
             out[i, j] = 100.0 * (model.discount / k1 - model.drift)
     return out
-
-
-def table1() -> np.ndarray:
-    return table("table1")
-
-
-def table2() -> np.ndarray:
-    return table("table2")
-
-
-def table3() -> np.ndarray:
-    return table("table3")
 
 
 def _figure_model(sigma: float, concave: bool = False) -> Model:
@@ -98,7 +85,7 @@ def figure2(grid=None) -> dict[str, np.ndarray]:
     report = sandwich(model, payoff, grid=np.asarray(grid, dtype=float))
     return {
         "x": report.grid,
-        "g": np.atleast_1d(payoff_eval(payoff, report.grid)),
+        "g": np.atleast_1d(payoff.eval(report.grid)),
         "v": report.v,
         "v_r": report.v_high,
         "v_r_lambda": report.v_low,

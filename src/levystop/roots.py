@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketFailure, DomainError, NoPositiveRoot, SolverError
 from .model import Family, Model
-from .transforms import laplace_transform, log_one_minus_mean, power_transform
 
-__all__ = ["RootResult", "continuous_root", "char_eq", "solve_k1",
-           "psi", "psi_prime", "psi_second"]
+__all__ = ["RootResult", "continuous_root", "jump_transform", "char_eq", "solve_k1",
+           "psi", "psi_prime", "psi_second", "psi_ratio"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,16 @@ def continuous_root(model: Model, theta: float, drift: float | None = None) -> f
     return (disc - b) / s2
 
 
+def jump_transform(model: Model, k: float) -> float:
+    """The mark transform in the characteristic equation at exponent k:
+    E[e^{-gamma k Z}] (arithmetic) or E[(1-Z)^k] (geometric); 1 without jumps."""
+    if model.jump_intensity == 0.0 or model.jump_dist is None:
+        return 1.0
+    if model.family is Family.ARITHMETIC:
+        return model.jump_dist.laplace(model.jump_scale * k)
+    return model.jump_dist.power(k)
+
+
 def char_eq(model: Model, k: float) -> float:
     """Value of the characteristic equation's left side at exponent k."""
     lam = model.jump_intensity
@@ -73,11 +83,9 @@ def char_eq(model: Model, k: float) -> float:
     c = model.compensated_drift
     if model.family is Family.ARITHMETIC:
         quad = 0.5 * s2 * k * k + c * k
-        jump = lam * laplace_transform(model.jump_dist, model.jump_scale * k) if lam > 0 else 0.0
     else:
         quad = 0.5 * s2 * k * (k - 1.0) + c * k
-        jump = lam * power_transform(model.jump_dist, k) if lam > 0 else 0.0
-    return quad + jump - (model.discount + lam)
+    return quad + lam * jump_transform(model, k) - (model.discount + lam)
 
 
 def _eq_scale(model: Model, k: float) -> float:
@@ -95,7 +103,7 @@ def _zero_discount_slope(model: Model) -> float:
         return model.drift
     slope = model.compensated_drift - 0.5 * model.volatility ** 2
     if lam > 0:
-        slope += lam * log_one_minus_mean(model.jump_dist)
+        slope += lam * model.jump_dist.log_mean()
     return slope
 
 
@@ -185,3 +193,14 @@ def psi_second(model: Model, k: float, x: float) -> float:
     if x <= 0:
         raise DomainError("geometric psi needs x > 0")
     return k * (k - 1.0) * x ** (k - 2.0)
+
+
+def psi_ratio(model: Model, k: float, x, y: float):
+    """psi(x)/psi(y) = e^{k(x - y)} or (x/y)^k, 1 at or above y; vectorized
+    over x below y. A float x is evaluated with math, an array with numpy."""
+    arithmetic = model.family is Family.ARITHMETIC
+    if isinstance(x, np.ndarray):
+        return np.exp(k * (x - y)) if arithmetic else np.power(x / y, k)
+    if x >= y:
+        return 1.0
+    return exp(k * (x - y)) if arithmetic else (x / y) ** k

@@ -12,12 +12,13 @@ Interior optima satisfy g'(x*) psi(x*) = g(x*) psi'(x*); corner optima
 sit at payoff kinks and break smooth fit by exactly
 g(x*) psi'(x*)/psi(x*) - g'(x*+).
 
-Closed forms: CappedCall(K, I) on arithmetic dynamics stops at
-I + 1/k1 when k1 >= 1/(K - I) and at the cap otherwise; on geometric
-dynamics at k1 I/(k1 - 1) when k1 >= K/(K - I). PowerCall(a, b, K)
-needs k1 > b and stops at (k1 K / ((k1 - b) a))^{1/b}, i.e. the
-break-even point scaled by the multiplier (k1/(k1 - b))^{1/b}.
-Tabulated payoffs are maximized numerically.
+Closed forms (each payoff's threshold method): CappedCall(K, I) on
+arithmetic dynamics stops at I + 1/k1 when k1 >= 1/(K - I) and at the
+cap otherwise; on geometric dynamics at k1 I/(k1 - 1) when
+k1 >= K/(K - I). PowerCall(a, b, K) needs k1 > b and stops at
+(k1 K / ((k1 - b) a))^{1/b}, i.e. the break-even point scaled by the
+multiplier (k1/(k1 - b))^{1/b}. Tabulated payoffs are maximized
+numerically.
 """
 from __future__ import annotations
 
@@ -28,22 +29,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, KinkPoint, NoFiniteThreshold, SolverError
-from .model import (
-    CappedCall,
-    Family,
-    Model,
-    Payoff,
-    PowerCall,
-    TabulatedPayoff,
-    break_even,
-    payoff_deriv,
-    payoff_eval,
-    payoff_kinks,
-    validate,
-)
-from .roots import RootResult, psi, psi_prime, solve_k1
+from .model import Family, Model, Payoff, TabulatedPayoff, validate
+from .roots import RootResult, psi, psi_prime, psi_ratio, solve_k1
 
-__all__ = ["ThresholdSolution", "solve_threshold", "value_fn", "foc", "smooth_fit_gap"]
+__all__ = ["ThresholdSolution", "solve_threshold", "value_fn", "foc"]
 
 
 @dataclass(frozen=True)
@@ -65,20 +54,6 @@ class ThresholdSolution:
         return "smooth" if abs(self.smooth_fit_gap) <= tol else "broken"
 
 
-def _log_psi_slope(model: Model, k1: float, x: float) -> float:
-    # psi'/psi: k1 for exponentials, k1/x for powers
-    if model.family is Family.ARITHMETIC:
-        return k1
-    if x <= 0:
-        raise DomainError("geometric state must be positive")
-    return k1 / x
-
-
-def _gap(model: Model, payoff: Payoff, k1: float, x_star: float) -> float:
-    g_star = float(payoff_eval(payoff, x_star))
-    return g_star * _log_psi_slope(model, k1, x_star) - payoff_deriv(payoff, x_star, "right")
-
-
 def solve_threshold(model: Model, payoff: Payoff,
                     k1: float | RootResult | None = None) -> ThresholdSolution:
     """Solve sup_{y >= x0} g(y)/psi(y) for the optimal threshold.
@@ -98,26 +73,10 @@ def solve_threshold(model: Model, payoff: Payoff,
 
     multiplier: float | None = None
     unimodal = True
-    if isinstance(payoff, CappedCall):
-        K, I = payoff.K, payoff.I
-        if model.family is Family.ARITHMETIC:
-            x_star = I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K
-        else:
-            if k1 >= K / (K - I):
-                x_star = k1 * I / (k1 - 1.0)
-                multiplier = k1 / (k1 - 1.0)
-            else:
-                x_star = K
-    elif isinstance(payoff, PowerCall):
-        a, b, K = payoff.a, payoff.b, payoff.K
-        if k1 <= b:
-            raise NoFiniteThreshold(
-                f"power payoff growth b = {b} is not dominated: k1 = {k1:.6g} <= b"
-            )
-        x_star = (k1 * K / ((k1 - b) * a)) ** (1.0 / b)
-        multiplier = k1 / (k1 - b)
-    else:
+    if isinstance(payoff, TabulatedPayoff):
         x_star, unimodal = _solve_tabulated(model, payoff, k1)
+    else:
+        x_star, multiplier = payoff.threshold(k1, model.family)
     if not isfinite(x_star):  # e.g. a power payoff whose break-even overflows
         raise NoFiniteThreshold(f"threshold is not finite: x* = {x_star}")
 
@@ -126,20 +85,26 @@ def solve_threshold(model: Model, payoff: Payoff,
         payoff=payoff,
         k1=k1,
         x_star=x_star,
-        value_at_star=float(payoff_eval(payoff, x_star)),
+        value_at_star=payoff.eval(x_star),
         multiplier=multiplier,
-        smooth_fit_gap=_gap(model, payoff, k1, x_star),
+        # 0.0 - slope, not -slope: an exact tie gives +0.0
+        smooth_fit_gap=0.0 - _slope_sign(model, payoff, k1, x_star),
         ratio_unimodal=unimodal,
     )
 
 
 def _slope_sign(model: Model, payoff: Payoff, k1: float, x: float) -> float:
-    # sign-equivalent to d/dx [g/psi]: g'(x+) - g(x) psi'/psi
-    return payoff_deriv(payoff, x, "right") - float(payoff_eval(payoff, x)) * _log_psi_slope(model, k1, x)
+    # sign-equivalent to d/dx [g/psi]: g'(x+) - g(x) psi'/psi, where psi'/psi
+    # is k1 for exponentials and k1/x for powers
+    if model.family is Family.GEOMETRIC:
+        if x <= 0:
+            raise DomainError("geometric state must be positive")
+        k1 = k1 / x
+    return payoff.deriv(x) - payoff.eval(x) * k1
 
 
 def _solve_tabulated(model: Model, payoff: TabulatedPayoff, k1: float) -> tuple[float, bool]:
-    x0 = break_even(payoff)
+    x0 = payoff.break_even()
     right = payoff.breakpoints[-1]
     geometric = model.family is Family.GEOMETRIC
 
@@ -158,11 +123,11 @@ def _solve_tabulated(model: Model, payoff: TabulatedPayoff, k1: float) -> tuple[
     # grid scan evaluates it in one array pass (grid >= x0 > 0 when geometric)
     grid = np.linspace(x0, R, 1025)
     if geometric:
-        ratio = lambda x: float(payoff_eval(payoff, x)) * (x / x0) ** (-k1) if x > 0 else 0.0
-        vals = payoff_eval(payoff, grid) * np.power(grid / x0, -k1)
+        ratio = lambda x: payoff.eval(x) * (x / x0) ** (-k1) if x > 0 else 0.0
+        vals = payoff.eval(grid) * np.power(grid / x0, -k1)
     else:
-        ratio = lambda x: float(payoff_eval(payoff, x)) * exp(-k1 * (x - x0))
-        vals = payoff_eval(payoff, grid) * np.exp(-k1 * (grid - x0))
+        ratio = lambda x: payoff.eval(x) * exp(-k1 * (x - x0))
+        vals = payoff.eval(grid) * np.exp(-k1 * (grid - x0))
     best = len(vals) - 1 - int(np.argmax(vals[::-1]))  # ties -> largest maximizer
     changes = np.flatnonzero(np.diff(np.sign(np.diff(vals))) != 0)
     unimodal = len(changes) <= 1
@@ -193,7 +158,7 @@ def _solve_tabulated(model: Model, payoff: TabulatedPayoff, k1: float) -> tuple[
             if b - a <= 1e-12 * max(1.0, abs(b)):
                 break
         x_star = 0.5 * (a + b)
-    if float(payoff_eval(payoff, x_star)) <= 0.0:
+    if payoff.eval(x_star) <= 0.0:
         raise SolverError("tabulated threshold search ended at a nonpositive payoff")
     return x_star, unimodal
 
@@ -206,15 +171,10 @@ def value_fn(solution: ThresholdSolution, x):
     arr = np.atleast_1d(arr)
     if model.family is Family.GEOMETRIC and np.any(arr < 0):
         raise DomainError("geometric state must be nonnegative")
-    out = np.array(payoff_eval(solution.payoff, arr), dtype=float)
+    out = np.array(solution.payoff.eval(arr), dtype=float)
     below = arr < x_star
     if np.any(below):
-        xb = arr[below]
-        if model.family is Family.ARITHMETIC:
-            ratio = np.exp(k1 * (xb - x_star))
-        else:
-            ratio = np.power(xb / x_star, k1)
-        out[below] = solution.value_at_star * ratio
+        out[below] = solution.value_at_star * psi_ratio(model, k1, arr[below], x_star)
     return float(out[0]) if scalar else out
 
 
@@ -225,12 +185,7 @@ def foc(model: Model, payoff: Payoff, k1: float, x: float) -> float:
     unique zero past the break-even point is the interior threshold.
     Exactly at a payoff kink the derivative is two-valued: KinkPoint.
     """
-    if any(x == kink for kink in payoff_kinks(payoff)):
+    if any(x == kink for kink in payoff.kinks()):
         raise KinkPoint(f"payoff derivative is two-sided at x = {x}")
-    return payoff_deriv(payoff, x, "right") * psi(model, k1, x) \
-        - float(payoff_eval(payoff, x)) * psi_prime(model, k1, x)
+    return payoff.deriv(x) * psi(model, k1, x) - payoff.eval(x) * psi_prime(model, k1, x)
 
-
-def smooth_fit_gap(solution: ThresholdSolution) -> float:
-    """V'(x*-) - g'(x*+): zero at interior optima, k1 g(x*) - g'(x*+) at corners."""
-    return solution.smooth_fit_gap

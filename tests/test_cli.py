@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from levystop import reproduce
 from levystop.cli import build_parser, main
 
+# a floating-point warning reaching stderr breaks the one-line error contract
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FIG2_CFG = {
     "family": "geometric",
     "drift": 0.025,
@@ -535,6 +538,26 @@ class TestConfigMutations:
         else:
             assert out == ""
             assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1, err
+
+
+class TestStderrOutsidePytest:
+    """pytest captures warnings; a fresh interpreter shows what a user sees."""
+
+    @pytest.mark.parametrize("cfg,expected", [
+        (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 5e-324, "d": 5.0}}), 3),
+        (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
+            "breakpoints": [-1e308, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}}), 2),
+    ], ids=["beta-tiny-c", "tabulated-huge-span"])
+    def test_one_stderr_line(self, tmp_path, cfg, expected):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run([sys.executable, "-m", "levystop.cli", "solve",
+                               "--config", str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith(("error: ", "numerical failure: "))
 
 
 class TestInstalledScript:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,7 @@ from levystop import (
     break_even,
     model_from_config,
     model_to_config,
-    payoff_deriv,
     payoff_eval,
-    payoff_kinks,
     validate,
 )
 
@@ -120,19 +120,18 @@ class TestCappedCall:
 
     def test_deriv_sides(self):
         g = CappedCall(K=2.0, I=1.0)
-        assert payoff_deriv(g, 1.0, "left") == 0.0
-        assert payoff_deriv(g, 1.0, "right") == 1.0
-        assert payoff_deriv(g, 1.5, "left") == payoff_deriv(g, 1.5, "right") == 1.0
-        assert payoff_deriv(g, 2.0, "left") == 1.0
-        assert payoff_deriv(g, 2.0, "right") == 0.0
-        assert payoff_deriv(g, 5.0, "right") == 0.0
-        with pytest.raises(ValueError):
-            payoff_deriv(g, 1.5, "middle")
+        assert g.deriv(1.0, right=False) == 0.0
+        assert g.deriv(1.0, right=True) == 1.0
+        assert g.deriv(1.5, right=False) == g.deriv(1.5, right=True) == 1.0
+        assert g.deriv(2.0, right=False) == 1.0
+        assert g.deriv(2.0, right=True) == 0.0
+        assert g.deriv(5.0, right=True) == 0.0
+        assert g.deriv(1.0) == 1.0  # right-hand by default
 
     def test_kinks_and_break_even(self):
         g = CappedCall(K=2.0, I=1.0)
-        assert payoff_kinks(g) == (1.0, 2.0)
-        assert break_even(g) == 1.0
+        assert g.kinks() == (1.0, 2.0)
+        assert break_even(g) == g.break_even() == 1.0
 
     def test_requires_cap_above_strike(self):
         with pytest.raises(BadPayoff):
@@ -151,18 +150,18 @@ class TestPowerCall:
         g = PowerCall(a=1.0, b=1.0, K=1.0)
         assert payoff_eval(g, 2.5) == 1.5
         assert break_even(g) == 1.0
-        assert payoff_kinks(g) == (1.0,)
+        assert g.kinks() == (1.0,)
 
     def test_concave_root_payoff(self):
         g = PowerCall(a=1.0, b=0.2, K=1.0)
         assert break_even(g) == 1.0
         assert payoff_eval(g, 32.0) == pytest.approx(1.0)
-        assert payoff_deriv(g, 32.0) == pytest.approx(0.2 * 32.0 ** -0.8)
+        assert g.deriv(32.0) == pytest.approx(0.2 * 32.0 ** -0.8)
 
     def test_deriv_at_break_even(self):
         g = PowerCall(a=1.0, b=2.0, K=4.0)
-        assert payoff_deriv(g, 2.0, "left") == 0.0
-        assert payoff_deriv(g, 2.0, "right") == 4.0
+        assert g.deriv(2.0, right=False) == 0.0
+        assert g.deriv(2.0, right=True) == 4.0
 
     def test_parameter_validation(self):
         with pytest.raises(BadPayoff):
@@ -190,20 +189,20 @@ class TestTabulatedPayoff:
         # constant below the first breakpoint, terminal slope above the last
         assert payoff_eval(g, 0.2) == 0.0
         assert payoff_eval(g, 100.0) == pytest.approx(1.0)  # flat tail
-        assert payoff_deriv(g, 50.0) == 0.0
+        assert g.deriv(50.0) == 0.0
 
     def test_linear_tail(self):
         g = TabulatedPayoff((0.0, 1.0), (-1.0, 1.0))
         # two nodes make a straight line; extension keeps slope 2
         assert payoff_eval(g, 3.0) == pytest.approx(5.0)
-        assert payoff_deriv(g, 3.0) == pytest.approx(2.0)
+        assert g.deriv(3.0) == pytest.approx(2.0)
 
     def test_deriv_matches_finite_difference(self):
         g = TabulatedPayoff((0.0, 1.0, 2.0, 3.0), (-1.0, -0.2, 0.9, 1.4))
         for x in (0.4, 1.3, 2.6):
             h = 1e-6
             fd = (payoff_eval(g, x + h) - payoff_eval(g, x - h)) / (2 * h)
-            assert payoff_deriv(g, x) == pytest.approx(fd, abs=1e-5)
+            assert g.deriv(x) == pytest.approx(fd, abs=1e-5)
 
     def test_break_even_bisection(self):
         # straight line x - 1 on [0, 2] crosses at 1
@@ -264,11 +263,11 @@ class TestTabulatedScalarPath:
             assert type(value) is float
             assert value == payoff_eval(g, np.array([x]))[0]
         for x in inside + list(bp[:-1]):
-            assert payoff_deriv(g, x) == float(deriv(x))
-            assert payoff_deriv(g, x) == deriv(np.array([x]))[0]
+            assert g.deriv(x) == float(deriv(x))
+            assert g.deriv(x) == deriv(np.array([x]))[0]
         assert payoff_eval(g, bp[0] - d) == float(g._spline(bp[0]))
-        assert payoff_deriv(g, bp[0] - d) == 0.0
-        assert payoff_deriv(g, bp[-1] + d) == payoff_deriv(g, bp[-1]) == g._end_slope
+        assert g.deriv(bp[0] - d) == 0.0
+        assert g.deriv(bp[-1] + d) == g.deriv(bp[-1]) == g._end_slope
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(g=tabulated_payoffs())
@@ -387,15 +386,44 @@ class TestConfig:
         "payoff": {"kind": "power_call", "params": {"a": 1.0, "b": 1.0, "K": 1.0}},
     }
 
-    def test_round_trip(self):
-        model, payoff = model_from_config(self.CFG)
-        assert model == fig2_model()
-        assert payoff == PowerCall(1.0, 1.0, 1.0)
+    # every jump and payoff kind, params in the order the echo writes them
+    # (the JSON bytes depend on it); the beta-power_call case is CFG itself
+    KINDS = [
+        ("arithmetic", {"kind": "gamma", "params": {"shape": 1.5, "rate": 2.0}},
+         {"kind": "capped_call", "params": {"K": 2.0, "I": 1.0}},
+         GammaJumps(1.5, 2.0), CappedCall(2.0, 1.0)),
+        ("arithmetic", {"kind": "exponential", "params": {"rate": 3.0}},
+         {"kind": "tabulated", "params": {"breakpoints": [-0.5, 0.2, 0.9],
+                                          "values": [-0.4, 0.1, 0.5]}},
+         ExponentialJumps(3.0), TabulatedPayoff((-0.5, 0.2, 0.9), (-0.4, 0.1, 0.5))),
+        ("geometric", {"kind": "beta", "params": {"c": 1.25, "d": 5.0}},
+         {"kind": "power_call", "params": {"a": 1.0, "b": 1.0, "K": 1.0}},
+         BetaJumps(1.25, 5.0), PowerCall(1.0, 1.0, 1.0)),
+        ("geometric", {"kind": "point_mass", "params": {"z": 0.3}},
+         {"kind": "capped_call", "params": {"K": 3.0, "I": 1.5}},
+         PointMassJumps(0.3), CappedCall(3.0, 1.5)),
+        ("geometric", {"kind": "tabulated", "params": {"nodes": [0.1, 0.3],
+                                                       "weights": [0.5, 0.5]}},
+         {"kind": "tabulated", "params": {"breakpoints": [0.5, 1.5, 2.5],
+                                          "values": [-1.0, 0.0, 2.0]}},
+         TabulatedJumps((0.1, 0.3), (0.5, 0.5)), TabulatedPayoff((0.5, 1.5, 2.5), (-1.0, 0.0, 2.0))),
+    ]
+
+    @pytest.mark.parametrize("family,jump,pay,dist,want", KINDS,
+                             ids=[f"{j['kind']}-{p['kind']}" for _, j, p, _, _ in KINDS])
+    def test_round_trip(self, family, jump, pay, dist, want):
+        model, payoff = model_from_config(dict(self.CFG, family=family, jump_dist=jump, payoff=pay))
+        assert model == Model(Family(family), 0.025, 0.1, 0.02, dist, 0.05)
+        assert payoff == want
         echo = model_to_config(model, payoff)
         model2, payoff2 = model_from_config(echo)
         assert model2 == model
         assert payoff2 == payoff
         assert echo["jump_scale"] == 1.0  # defaults made explicit
+        assert list(echo) == ["family", "drift", "volatility", "jump_scale", "lambda",
+                              "jump_dist", "r", "payoff"]
+        assert json.dumps(echo["jump_dist"]) == json.dumps(jump)
+        assert json.dumps(echo["payoff"]) == json.dumps(pay)
 
     def test_payoff_optional(self):
         cfg = dict(self.CFG)
