@@ -26,7 +26,6 @@ from .errors import (
     DivergentTransform,
     DomainError,
     InvalidModel,
-    KinkPoint,
     LevyStopError,
     NoFiniteThreshold,
     NonPositiveVolatility,
@@ -63,8 +62,8 @@ from .model import (
     payoff_eval,
     validate,
 )
-from .roots import RootResult, char_eq, continuous_root, psi, psi_prime, psi_second, solve_k1
-from .stopping import ThresholdSolution, foc, solve_threshold, value_fn
-from .transforms import laplace_transform, log_one_minus_mean, power_transform
+from .roots import RootResult, char_eq, continuous_root, psi, solve_k1
+from .stopping import ThresholdSolution, solve_threshold, value_fn
+from .transforms import laplace_transform, power_transform
 
 __version__ = "0.1.0"

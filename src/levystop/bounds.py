@@ -12,9 +12,9 @@ collapse the jump model onto a continuous one that shares k1:
   theta* = r + lambda (1 - E[transform at k1])   adjusted discount
   mu~    = drift + (lambda/k1) E[transform at k1]  adjusted drift
            (continuous root at r + lambda reproduces k1)
-  mu^    = r/k1 per unit state: the growth rate of the deterministic
-           flow whose optimally timed payoff reproduces V exactly,
-           stopped after t* = (1/r) ln(psi(x*)/psi(x)).
+  mu^    = r/k1, per unit state for geometric dynamics: the growth
+           rate of the deterministic flow whose optimally timed payoff
+           reproduces V exactly, stopped after t* = (1/r) ln(psi(x*)/psi(x)).
 """
 from __future__ import annotations
 
@@ -78,19 +78,13 @@ def adjusted_drift(model: Model, k1: float) -> float:
     return model.compensated_drift + (lam / k1) * jump_transform(model, k1)
 
 
-def certainty_growth(model: Model, k1: float, x: float | None = None) -> float:
-    """mu^ = r/k1 (arithmetic) or r x/k1 (geometric at state x)."""
+def certainty_growth(model: Model, k1: float) -> float:
+    """mu^ = r/k1: the sure drift dx = mu^ dt (arithmetic) or the sure
+    growth rate per unit state dx = mu^ x dt (geometric)."""
     model.require_positive_discount()
     if k1 <= 0:
         raise SolverError("certainty growth needs k1 > 0")
-    rate = model.discount / k1
-    if model.family is Family.ARITHMETIC:
-        return rate
-    if x is None:
-        raise DomainError("geometric certainty growth is state-dependent; pass x")
-    if x <= 0:
-        raise DomainError("geometric state must be positive")
-    return rate * x
+    return model.discount / k1
 
 
 def certainty_time(model: Model, k1: float, x: float, x_star: float) -> float:
@@ -107,18 +101,19 @@ def certainty_time(model: Model, k1: float, x: float, x_star: float) -> float:
     return gap / model.discount
 
 
-def _default_grid(model: Model, payoff: Payoff, x_star_high: float, n: int) -> np.ndarray:
+def _default_grid(model: Model, payoff: Payoff, x_star_high: float) -> np.ndarray:
     x0 = payoff.break_even()
     if model.family is Family.ARITHMETIC:
         lo = x0 - 5.0
     else:
         lo = 0.5 * x0
-    return np.linspace(lo, 1.5 * x_star_high, n)
+    return np.linspace(lo, 1.5 * x_star_high, 200)
 
 
-def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None,
-             n: int = 200) -> SandwichReport:
-    """Solve the jump problem and its two continuous envelopes on a grid.
+def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> SandwichReport:
+    """Solve the jump problem and its two continuous envelopes on a grid
+    (by default 200 points from below the break-even point to 1.5 times
+    the upper envelope's threshold).
 
     The ordering v_low <= v <= v_high and the threshold ordering are
     asserted pointwise to 1e-10; a violation means a solver bug, not a
@@ -134,7 +129,7 @@ def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None,
         raise SolverError("sandwich threshold ordering violated")
 
     if grid is None:
-        grid = _default_grid(model, payoff, sol_high.x_star, n)
+        grid = _default_grid(model, payoff, sol_high.x_star)
     grid = np.asarray(grid, dtype=float)
     if model.family is Family.GEOMETRIC:
         grid = grid[grid >= 0.0]

@@ -23,20 +23,16 @@ import numpy as np
 
 from . import bounds, mc, reproduce
 from .errors import InvalidModel, SolverError
-from .model import (
-    CappedCall,
-    Model,
-    Payoff,
-    PowerCall,
-    model_from_config,
-    model_to_config,
-)
+from .model import _PAYOFF_KINDS, Model, Payoff, _build, model_from_config, model_to_config
 from .roots import psi_ratio, solve_k1
 from .stopping import solve_threshold, value_fn
 
 UNCHECKED = [
     "payoff nonnegativity at jump landings below break-even is assumed, not certified",
 ]
+# --K, --I, --a, --b: every number a payoff kind takes, one flag per name
+_OVERRIDE_FLAGS = tuple(dict.fromkeys(
+    name for _, names in _PAYOFF_KINDS.values() for name, is_list in names.items() if not is_list))
 
 
 def _read_config(path: str) -> tuple[Model, Payoff | None]:
@@ -92,19 +88,16 @@ def _fmt(value: float, precision: str) -> str:
     return f"{value:.2f}" if precision == "2" else repr(float(value))
 
 
-def _payoff_override(args, payoff: Payoff | None) -> Payoff | None:
-    if not getattr(args, "payoff", None):
-        return payoff
-    kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff, args.payoff)
-    if kind == "capped_call":
-        if args.K is None or args.I is None:
-            raise InvalidModel("capped_call override needs --K and --I")
-        return CappedCall(K=args.K, I=args.I)
-    if kind == "power_call":
-        if None in (args.a, args.b, args.K):
-            raise InvalidModel("power_call override needs --a, --b and --K")
-        return PowerCall(a=args.a, b=args.b, K=args.K)
-    raise InvalidModel(f"unknown payoff override {args.payoff!r}")
+def _problem(args) -> tuple[Model, Payoff]:
+    """The config's model and payoff; --payoff and its flags replace the payoff."""
+    model, payoff = _read_config(args.config)
+    if args.payoff:
+        kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff, args.payoff)
+        params = {n: getattr(args, n) for n in _OVERRIDE_FLAGS if getattr(args, n) is not None}
+        payoff = _build({"kind": kind, "params": params}, _PAYOFF_KINDS, "payoff override")
+    if payoff is None:
+        raise InvalidModel(f"{args.command} needs a payoff (config key or --payoff flags)")
+    return model, payoff
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +119,7 @@ def cmd_root(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model, payoff = _read_config(args.config)
-    payoff = _payoff_override(args, payoff)
-    if payoff is None:
-        raise InvalidModel("solve needs a payoff (config key or --payoff flags)")
+    model, payoff = _problem(args)
     grid = _parse_range(args.grid) if args.grid else None
     report = bounds.sandwich(model, payoff, grid=grid)
     sol = report.solution
@@ -147,7 +137,7 @@ def cmd_solve(args) -> int:
         "x_star_high": report.x_star_high,
         "theta_star": report.theta_star,
         "mu_tilde": report.mu_tilde,
-        "certainty_growth_rate": model.discount / sol.k1,
+        "certainty_growth_rate": bounds.certainty_growth(model, sol.k1),
         "ratio_unimodal": sol.ratio_unimodal,
         "unchecked_hypotheses": UNCHECKED,
     }
@@ -182,10 +172,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model, payoff = _read_config(args.config)
-    payoff = _payoff_override(args, payoff)
-    if payoff is None:
-        raise InvalidModel("sweep needs a payoff (config key or --payoff flags)")
+    model, payoff = _problem(args)
     values = _parse_range(args.range)
     rows = []
     k1s, xs = [], []
@@ -197,7 +184,7 @@ def cmd_sweep(args) -> int:
         k1s.append(root.k1)
         xs.append(sol.x_star)
         cells = (v, root.k1, sol.x_star, bounds.adjusted_discount(m, root.k1),
-                 m.discount / root.k1)
+                 bounds.certainty_growth(m, root.k1))
         rows.append([repr(float(c)) for c in cells])
 
     def direction(seq) -> str:
@@ -285,23 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="optimal stopping for spectrally negative jump diffusions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--out")
+    override = argparse.ArgumentParser(add_help=False)
+    override.add_argument("--payoff", help="override payoff kind (capped|power)")
+    for name in _OVERRIDE_FLAGS:
+        override.add_argument(f"--{name}", type=float)
 
-    p_root = sub.add_parser("root", help="characteristic equation root + bracket")
-    p_root.add_argument("--config", required=True)
-    p_root.add_argument("--out")
+    p_root = sub.add_parser("root", parents=[config], help="characteristic equation root + bracket")
     p_root.set_defaults(fn=cmd_root)
 
-    p_solve = sub.add_parser("solve", help="threshold, value, sandwich bounds")
-    p_solve.add_argument("--config", required=True)
+    p_solve = sub.add_parser("solve", parents=[config, override],
+                             help="threshold, value, sandwich bounds")
     p_solve.add_argument("--grid", help="value grid lo:hi:n")
     p_solve.add_argument("--x", type=float, help="report V and t* at this state")
     p_solve.add_argument("--csv", help="write the sandwich grid CSV here ('-' = stdout)")
-    p_solve.add_argument("--out")
-    p_solve.add_argument("--payoff", help="override payoff kind (capped|power)")
-    p_solve.add_argument("--K", type=float)
-    p_solve.add_argument("--I", type=float)
-    p_solve.add_argument("--a", type=float)
-    p_solve.add_argument("--b", type=float)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_rep = sub.add_parser("reproduce", help="reference tables and figures")
@@ -312,20 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out")
     p_rep.set_defaults(fn=cmd_reproduce)
 
-    p_sweep = sub.add_parser("sweep", help="comparative statics over sigma or lambda")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[config, override],
+                             help="comparative statics over sigma or lambda")
     p_sweep.add_argument("--param", required=True, choices=["sigma", "lambda"])
     p_sweep.add_argument("--range", required=True, help="lo:hi:n")
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--payoff", help="override payoff kind (capped|power)")
-    p_sweep.add_argument("--K", type=float)
-    p_sweep.add_argument("--I", type=float)
-    p_sweep.add_argument("--a", type=float)
-    p_sweep.add_argument("--b", type=float)
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo first-passage cross-check")
-    p_sim.add_argument("--config", required=True)
+    p_sim = sub.add_parser("simulate", parents=[config],
+                           help="Monte Carlo first-passage cross-check")
     p_sim.add_argument("--x", type=float, required=True)
     p_sim.add_argument("--y", type=float)
     p_sim.add_argument("--grid", help="threshold grid lo:hi:n")
@@ -334,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=float)
     p_sim.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit 4 when the estimate violates its contract")
-    p_sim.add_argument("--out")
     p_sim.set_defaults(fn=cmd_simulate)
 
     return parser

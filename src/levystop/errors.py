@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-Two branches: ``InvalidModel`` for inputs that violate the model contract
-(the CLI maps these to exit code 2) and ``SolverError`` for numerical
-failures on inputs that passed validation (exit code 3).
+Two branches: ``InvalidModel`` for inputs that violate the model contract,
+a state outside the family's domain included (the CLI maps these to exit
+code 2), and ``SolverError`` for numerical failures on inputs that passed
+validation (exit code 3).
 """
 from __future__ import annotations
 
@@ -14,13 +15,12 @@ __all__ = [
     "BadPayoff",
     "BadSupport",
     "ZeroDiscountForThreshold",
+    "DomainError",
     "SolverError",
     "DivergentTransform",
     "BracketFailure",
     "NoPositiveRoot",
     "NoFiniteThreshold",
-    "KinkPoint",
-    "DomainError",
 ]
 
 
@@ -56,6 +56,10 @@ class ZeroDiscountForThreshold(InvalidModel):
     """Threshold problems need r > 0; r = 0 only prices hitting events."""
 
 
+class DomainError(InvalidModel):
+    """State outside the family's domain (geometric needs x > 0)."""
+
+
 class SolverError(LevyStopError, ArithmeticError):
     """A numerical routine failed on validated inputs."""
 
@@ -75,10 +79,3 @@ class NoPositiveRoot(SolverError):
 class NoFiniteThreshold(SolverError):
     """sup g/psi is not attained at any finite point."""
 
-
-class KinkPoint(SolverError):
-    """Derivative-based quantity requested exactly at a payoff kink."""
-
-
-class DomainError(SolverError):
-    """State outside the family's domain (geometric needs x > 0)."""

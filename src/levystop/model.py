@@ -21,10 +21,9 @@ claims pay g(X_tau) at a stopping time tau, discounted at rate r.
 Each type carries its own maths. A jump law has support, unit_marks(),
 mean(), sample(gen, size) and laplace(s) = E[e^{-sZ}]; laws with marks
 inside [0, 1) also have power(k) = E[(1-Z)^k] and log_mean() =
-E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x, right=True)
-(the one-sided g'), kinks() (where the one-sided derivatives differ)
-and break_even() (x0); one whose g/psi has a closed-form maximizer also
-has threshold(k1, family) -> (x*, multiplier), see levystop.stopping.
+E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x) (the right-hand
+g') and break_even() (x0); one whose g/psi has a closed-form maximizer
+also has threshold(k1, family) -> (x*, multiplier), see levystop.stopping.
 """
 from __future__ import annotations
 
@@ -295,17 +294,8 @@ class CappedCall:
         out = np.maximum(np.minimum(np.asarray(x, dtype=float), self.K) - self.I, 0.0)
         return out if out.ndim else float(out)
 
-    def deriv(self, x: float, right: bool = True) -> float:
-        if x < self.I or x > self.K:
-            return 0.0
-        if x == self.I:
-            return 1.0 if right else 0.0
-        if x == self.K:
-            return 0.0 if right else 1.0
-        return 1.0
-
-    def kinks(self) -> tuple[float, ...]:
-        return (self.I, self.K)
+    def deriv(self, x: float) -> float:
+        return 1.0 if self.I <= x < self.K else 0.0
 
     def break_even(self) -> float:
         return self.I
@@ -337,15 +327,10 @@ class PowerCall:
         out = np.maximum(self.a * np.power(np.maximum(x, 0.0), self.b) - self.K, 0.0)
         return out if out.ndim else float(out)
 
-    def deriv(self, x: float, right: bool = True) -> float:
-        x0 = self.break_even()
-        if x < x0 or (x == x0 and not right):
+    def deriv(self, x: float) -> float:
+        if x < self.break_even():
             return 0.0
         return self.a * self.b * x ** (self.b - 1.0)
-
-    def kinks(self) -> tuple[float, ...]:
-        # b = 1 joins with slope a on both sides only if K = 0; K > 0 always kinks
-        return (self.break_even(),)
 
     def break_even(self) -> float:
         return (self.K / self.a) ** (1.0 / self.b)
@@ -400,7 +385,10 @@ class TabulatedPayoff:
         if vals[-1] <= 0:
             raise BadPayoff("tabulated payoff never becomes positive")
         try:
-            spline = PchipInterpolator(np.asarray(bp), np.asarray(vals), extrapolate=False)
+            # a subnormal secant overflows PCHIP's harmonic mean to inf, so the
+            # node slope is 0, the value it rounds to: the warning adds nothing
+            with np.errstate(over="ignore", divide="ignore"):
+                spline = PchipInterpolator(np.asarray(bp), np.asarray(vals), extrapolate=False)
         except ValueError as exc:  # slopes overflow on extreme tables
             raise BadPayoff(f"tabulated payoff cannot be interpolated: {exc}") from exc
         deriv = spline.derivative()
@@ -447,17 +435,13 @@ class TabulatedPayoff:
         out = np.where(x > bp[-1], self.values[-1] + self._end_slope * (x - bp[-1]), out)
         return out if out.ndim else float(out)
 
-    def deriv(self, x: float, right: bool = True) -> float:
+    def deriv(self, x: float) -> float:
         bp = self.breakpoints
-        if x < bp[0] or (x == bp[0] and not right):
+        if x < bp[0]:
             return 0.0
         if x >= bp[-1]:
             return self._end_slope
         return self._piece_sum(float(x), 2)
-
-    def kinks(self) -> tuple[float, ...]:
-        first = self.breakpoints[0]
-        return (first,) if abs(self._piece_sum(first, 2)) > 1e-12 else ()
 
     def break_even(self) -> float:
         return self._break_even

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import sandwich
+from .bounds import certainty_growth, sandwich
 from .model import BetaJumps, Family, GammaJumps, Model, PowerCall
 from .roots import solve_k1
-from .stopping import solve_threshold, value_fn
+from .stopping import solve_threshold
 
 __all__ = ["SIGMAS", "LAMBDAS", "table", "figure1", "figure2", "figure3", "TARGETS"]
 
@@ -48,7 +48,7 @@ def table(name: str) -> np.ndarray:
         for j, sigma in enumerate(SIGMAS):
             model = _table_model(name, sigma, lam)
             k1 = solve_k1(model).k1
-            out[i, j] = 100.0 * (model.discount / k1 - model.drift)
+            out[i, j] = 100.0 * (certainty_growth(model, k1) - model.drift)
     return out
 
 
@@ -63,10 +63,10 @@ def _figure_model(sigma: float, concave: bool = False) -> Model:
 FIGURE_SIGMAS = np.round(np.arange(0.05, 0.501, 0.01), 10)
 
 
-def figure1(sigmas=FIGURE_SIGMAS) -> dict[str, np.ndarray]:
+def figure1() -> dict[str, np.ndarray]:
     """Threshold multiplier P = k1/(k1 - 1) and its envelope multipliers vs sigma."""
     rows = {"sigma": [], "p": [], "p_hat_r_lambda": [], "p_hat_r": []}
-    for sigma in sigmas:
+    for sigma in FIGURE_SIGMAS:
         model = _figure_model(sigma)
         root = solve_k1(model)
         rows["sigma"].append(float(sigma))
@@ -76,13 +76,10 @@ def figure1(sigmas=FIGURE_SIGMAS) -> dict[str, np.ndarray]:
     return {k: np.asarray(v) for k, v in rows.items()}
 
 
-def figure2(grid=None) -> dict[str, np.ndarray]:
+def figure2() -> dict[str, np.ndarray]:
     """Payoff, value, and the sandwich values on a state grid (sigma = 0.1)."""
-    model = _figure_model(0.1)
     payoff = PowerCall(1.0, 1.0, 1.0)
-    if grid is None:
-        grid = np.linspace(0.0, 3.0, 301)
-    report = sandwich(model, payoff, grid=np.asarray(grid, dtype=float))
+    report = sandwich(_figure_model(0.1), payoff, grid=np.linspace(0.0, 3.0, 301))
     return {
         "x": report.grid,
         "g": np.atleast_1d(payoff.eval(report.grid)),
@@ -92,11 +89,11 @@ def figure2(grid=None) -> dict[str, np.ndarray]:
     }
 
 
-def figure3(sigmas=FIGURE_SIGMAS) -> dict[str, np.ndarray]:
+def figure3() -> dict[str, np.ndarray]:
     """Concave-regime thresholds vs sigma, jump problem and both envelopes."""
     payoff = PowerCall(1.0, 0.2, 1.0)
     rows = {"sigma": [], "x_star": [], "x_star_r_lambda": [], "x_star_r": []}
-    for sigma in sigmas:
+    for sigma in FIGURE_SIGMAS:
         model = _figure_model(sigma, concave=True)
         root = solve_k1(model)
         rows["sigma"].append(float(sigma))

@@ -20,7 +20,7 @@ convex in k, so the root is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, sqrt
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,7 +29,7 @@ from .errors import BracketFailure, DomainError, NoPositiveRoot, SolverError
 from .model import Family, Model
 
 __all__ = ["RootResult", "continuous_root", "jump_transform", "char_eq", "solve_k1",
-           "psi", "psi_prime", "psi_second", "psi_ratio"]
+           "psi", "psi_ratio"]
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,17 @@ class RootResult:
     iterations: int
 
 
-def continuous_root(model: Model, theta: float, drift: float | None = None) -> float:
-    """Positive root of the no-jump quadratic at discount theta.
+def continuous_root(model: Model, theta: float) -> float:
+    """Positive root of the no-jump quadratic at discount theta, with the
+    model's compensated drift.
 
-    drift overrides the model's compensated drift; that is how the
-    jump-risk-adjusted drift is verified to reproduce k1 at theta = r + lambda.
     Evaluated in the cancellation-free form: when the linear coefficient is
     positive the usual -b + sqrt(...) loses digits for small sigma, so the
     conjugate expression 2*theta / (b + sqrt(...)) is used instead.
     """
     if theta < 0:
         raise SolverError("discount for the quadratic root must be nonnegative")
-    c = model.compensated_drift if drift is None else drift
+    c = model.compensated_drift
     s2 = model.volatility ** 2
     if model.family is Family.ARITHMETIC:
         b = c
@@ -167,7 +166,7 @@ def _brentq(f, lo: float, hi: float):
 
 
 # ---------------------------------------------------------------------------
-# psi and derivatives
+# psi
 # ---------------------------------------------------------------------------
 
 def psi(model: Model, k: float, x: float) -> float:
@@ -177,22 +176,6 @@ def psi(model: Model, k: float, x: float) -> float:
     if x <= 0:
         raise DomainError("geometric psi needs x > 0")
     return x ** k
-
-
-def psi_prime(model: Model, k: float, x: float) -> float:
-    if model.family is Family.ARITHMETIC:
-        return k * exp(k * x)
-    if x <= 0:
-        raise DomainError("geometric psi needs x > 0")
-    return k * x ** (k - 1.0)
-
-
-def psi_second(model: Model, k: float, x: float) -> float:
-    if model.family is Family.ARITHMETIC:
-        return k * k * exp(k * x)
-    if x <= 0:
-        raise DomainError("geometric psi needs x > 0")
-    return k * (k - 1.0) * x ** (k - 2.0)
 
 
 def psi_ratio(model: Model, k: float, x, y: float):

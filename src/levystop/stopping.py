@@ -28,11 +28,11 @@ from math import exp, isfinite
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import DomainError, KinkPoint, NoFiniteThreshold, SolverError
+from .errors import DomainError, NoFiniteThreshold, SolverError
 from .model import Family, Model, Payoff, TabulatedPayoff, validate
-from .roots import RootResult, psi, psi_prime, psi_ratio, solve_k1
+from .roots import RootResult, psi_ratio, solve_k1
 
-__all__ = ["ThresholdSolution", "solve_threshold", "value_fn", "foc"]
+__all__ = ["ThresholdSolution", "solve_threshold", "value_fn"]
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def solve_threshold(model: Model, payoff: Payoff,
 
 def _slope_sign(model: Model, payoff: Payoff, k1: float, x: float) -> float:
     # sign-equivalent to d/dx [g/psi]: g'(x+) - g(x) psi'/psi, where psi'/psi
-    # is k1 for exponentials and k1/x for powers
+    # is k1 for exponentials and k1/x for powers; psi times it is the
+    # first-order condition g'(x+) psi(x) - g(x) psi'(x)
     if model.family is Family.GEOMETRIC:
         if x <= 0:
             raise DomainError("geometric state must be positive")
@@ -176,16 +177,4 @@ def value_fn(solution: ThresholdSolution, x):
     if np.any(below):
         out[below] = solution.value_at_star * psi_ratio(model, k1, arr[below], x_star)
     return float(out[0]) if scalar else out
-
-
-def foc(model: Model, payoff: Payoff, k1: float, x: float) -> float:
-    """First-order condition g'(x) psi(x) - g(x) psi'(x).
-
-    Positive where g/psi is increasing, negative where decreasing; its
-    unique zero past the break-even point is the interior threshold.
-    Exactly at a payoff kink the derivative is two-valued: KinkPoint.
-    """
-    if any(x == kink for kink in payoff.kinks()):
-        raise KinkPoint(f"payoff derivative is two-sided at x = {x}")
-    return payoff.deriv(x) * psi(model, k1, x) - payoff.eval(x) * psi_prime(model, k1, x)
 

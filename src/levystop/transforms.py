@@ -1,21 +1,16 @@
-"""Jump-mark transforms: E[e^{-sZ}], E[(1-Z)^k], E[ln(1-Z)].
+"""Jump-mark transforms: E[e^{-sZ}] and E[(1-Z)^k].
 
 Each jump law computes these in closed form, with no numerical
-integration, as its laplace(s), power(k) and log_mean() methods (see
-levystop.model). The power and log transforms need marks inside [0, 1):
-wider support is a contract violation, BadSupport, not a numerical failure.
+integration, as its laplace(s) and power(k) methods (see levystop.model).
+The power transform needs marks inside [0, 1): wider support is a
+contract violation, BadSupport, not a numerical failure.
 """
 from __future__ import annotations
 
 from .errors import BadSupport
 from .model import JumpDist
 
-__all__ = ["laplace_transform", "power_transform", "log_one_minus_mean"]
-
-
-def _unit_support(dist: JumpDist, what: str) -> None:
-    if dist.support[0] < 0 or not dist.unit_marks():
-        raise BadSupport(f"{what} needs jump support inside [0, 1)")
+__all__ = ["laplace_transform", "power_transform"]
 
 
 def laplace_transform(dist: JumpDist, s: float) -> float:
@@ -25,11 +20,6 @@ def laplace_transform(dist: JumpDist, s: float) -> float:
 
 def power_transform(dist: JumpDist, k: float) -> float:
     """E[(1-Z)^k] for marks in [0, 1)."""
-    _unit_support(dist, "power transform")
+    if dist.support[0] < 0 or not dist.unit_marks():
+        raise BadSupport("power transform needs jump support inside [0, 1)")
     return dist.power(k)
-
-
-def log_one_minus_mean(dist: JumpDist) -> float:
-    """E[ln(1-Z)] for marks in [0, 1)."""
-    _unit_support(dist, "log transform")
-    return dist.log_mean()

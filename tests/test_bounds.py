@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levystop import (
     CappedCall,
-    DomainError,
     Family,
     GammaJumps,
     Model,
@@ -116,7 +116,8 @@ class TestAdjustedDrift:
         for m in (table1_model(0.05, 0.1), fig2_model(), table2_model(0.2, 0.2)):
             res = solve_k1(m)
             mu = adjusted_drift(m, res.k1)
-            k = continuous_root(m, m.discount + m.jump_intensity, drift=mu)
+            no_jumps = replace(m, drift=mu, jump_intensity=0.0, jump_dist=None)
+            k = continuous_root(no_jumps, m.discount + m.jump_intensity)
             assert k == pytest.approx(res.k1, abs=1e-10)
 
     def test_exceeds_compensated_drift(self, fig2):
@@ -141,18 +142,18 @@ class TestCertaintyGrowth:
         m1 = table1_model(sigma=0.05, lam=0.2)
         assert certainty_growth(m1, solve_k1(m1).k1) > certainty_growth(m0, solve_k1(m0).k1)
 
-    def test_geometric_needs_state(self, fig2):
+    def test_geometric_rate_per_unit_state(self, fig2):
         k1 = solve_k1(fig2).k1
-        with pytest.raises(DomainError):
-            certainty_growth(fig2, k1)
-        with pytest.raises(DomainError):
-            certainty_growth(fig2, k1, x=0.0)
-        assert certainty_growth(fig2, k1, x=2.0) == pytest.approx(2.0 * 0.05 / k1)
+        assert certainty_growth(fig2, k1) == pytest.approx(0.05 / k1)
 
-    def test_scales_linearly_in_state(self, fig2):
-        k1 = solve_k1(fig2).k1
-        assert certainty_growth(fig2, k1, x=3.0) == pytest.approx(
-            3.0 * certainty_growth(fig2, k1, x=1.0))
+    def test_scales_linearly_in_state(self, fig2, fig2_payoff):
+        # the sure flow grows at rate x mu^, linear in the state: started at
+        # x it is x e^{mu^ t}, which reaches x* at the certainty time
+        sol = solve_threshold(fig2, fig2_payoff)
+        rate = certainty_growth(fig2, sol.k1)
+        for x in (1.0, 0.5 * sol.x_star):
+            t = certainty_time(fig2, sol.k1, x, sol.x_star)
+            assert x * math.exp(rate * t) == pytest.approx(sol.x_star, rel=1e-12)
 
 
 class TestCertaintyTime:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import copy
 import csv
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,10 +127,26 @@ class TestSolve:
         assert data["smooth_fit_gap"] == pytest.approx(data["k1"], abs=1e-15)
 
     def test_override_requires_parameters(self, capsys, cfg_file):
-        code, _, err = run_cli(capsys, "solve", "--config", cfg_file(TABLE1_CFG),
-                               "--payoff", "capped", "--K", "2")
-        assert code == 2
-        assert "error" in err
+        # solve and sweep share one override parser, checked like a config payoff
+        for cfg, argv, named in [
+            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2"], "'I'"),
+            (TABLE1_CFG, ["solve", "--payoff", "tabulated"], "'breakpoints'"),
+            (TABLE1_CFG, ["solve", "--payoff", "digital", "--K", "1"], "'digital'"),
+            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2", "--I", "1", "--a", "1"],
+             "'a'"),
+            (FIG2_CFG, ["sweep", "--payoff", "power", "--a", "1", "--b", "1",
+                        "--param", "sigma", "--range", "0.05:0.3:3"], "'K'"),
+        ]:
+            code, out, err = run_cli(capsys, argv[0], "--config", cfg_file(cfg), *argv[1:])
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert named in err, err
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg_file(FIG2_CFG),
+                                 "--payoff", "power", "--a", "1", "--b", "1", "--K", "1",
+                                 "--param", "sigma", "--range", "0.05:0.3:3")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "sigma,k1,x_star,theta_star,mu_hat"
 
     def test_payoff_required(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "solve", "--config", cfg_file(TABLE1_CFG))
@@ -366,6 +384,7 @@ class TestExitCodes:
         ("--y", "2.0", "--x", "nan"),
         ("--y", "0.5", "--n", "0"),  # start above the barrier: n is still checked
         ("--y", "0.5", "--n", "1"),
+        ("--y", "2.0", "--x", "-1"),  # geometric states must be positive
     ])
     def test_bad_simulation_input(self, capsys, cfg_file, flags):
         code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
@@ -425,6 +444,12 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
+
+    def test_state_outside_domain_is_invalid_input(self, capsys, cfg_file):
+        code, out, err = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG), "--x=-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: geometric state") and err.count("\n") == 1
 
     def test_overlong_integer_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -538,6 +563,34 @@ class TestConfigMutations:
         else:
             assert out == ""
             assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1, err
+
+
+def _load(path: Path):
+    """Import a script outside the package by path (dataclasses need it in sys.modules)."""
+    name = f"_corpus_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCorpus:
+    """tools/cli_corpus.py, the byte-diff harness, runs end to end in-process."""
+
+    def test_every_request_exits_as_expected(self):
+        root = Path(__file__).resolve().parent.parent
+        corpus = _load(root / "tools" / "cli_corpus.py")
+        problems = _load(root / "perfbench" / "problems.py")
+        records = list(corpus.results(problems, main))
+        assert len(records) == 476
+        errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
+        assert {name: r["exit"] for name, r in errors.items()} == {
+            "error bad drift": 2, "error undominated power": 3}
+        for r in errors.values():
+            assert r["stdout"] == "" and r["stderr"].count("\n") == 1, r["request"]
+        failed = [r["request"] for r in records
+                  if r["request"] not in errors and (r["exit"] != 0 or r["stderr"])]
+        assert failed == []
 
 
 class TestStderrOutsidePytest:

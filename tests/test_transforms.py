@@ -17,7 +17,6 @@ from levystop import (
     PointMassJumps,
     TabulatedJumps,
     laplace_transform,
-    log_one_minus_mean,
     power_transform,
 )
 
@@ -152,29 +151,26 @@ class TestPower:
 
 
 class TestLogOneMinus:
+    """E[ln(1-Z)], each unit-mark law's log_mean()."""
+
     def test_beta_digamma_formula(self):
         # digamma(5) - digamma(6.25)
-        assert log_one_minus_mean(BetaJumps(1.25, 5.0)) == pytest.approx(
-            -0.24433585845193573, abs=1e-14)
-        assert log_one_minus_mean(BetaJumps(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-12)
+        assert BetaJumps(1.25, 5.0).log_mean() == pytest.approx(-0.24433585845193573, abs=1e-14)
+        assert BetaJumps(1.0, 1.0).log_mean() == pytest.approx(-1.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert log_one_minus_mean(PointMassJumps(0.5)) == pytest.approx(math.log(0.5))
+        assert PointMassJumps(0.5).log_mean() == pytest.approx(math.log(0.5))
 
     def test_tabulated(self):
         dist = TabulatedJumps((0.2, 0.5), (0.5, 0.5))
         want = 0.5 * math.log(0.8) + 0.5 * math.log(0.5)
-        assert log_one_minus_mean(dist) == pytest.approx(want, abs=1e-14)
+        assert dist.log_mean() == pytest.approx(want, abs=1e-14)
 
     def test_is_power_transform_derivative_at_zero(self):
         dist = BetaJumps(1.25, 5.0)
         h = 1e-6
         fd = (power_transform(dist, h) - power_transform(dist, -h)) / (2 * h)
-        assert log_one_minus_mean(dist) == pytest.approx(fd, abs=1e-8)
-
-    def test_requires_unit_interval_support(self):
-        with pytest.raises(BadSupport):
-            log_one_minus_mean(ExponentialJumps(1.0))
+        assert dist.log_mean() == pytest.approx(fd, abs=1e-8)
 
 
 class TestBetaMpmathOracle:
@@ -200,7 +196,7 @@ class TestBetaMpmathOracle:
     def test_log_one_minus(self, c, d):
         with mpmath.workdps(30):
             want = float(mpmath.digamma(d) - mpmath.digamma(c + d))
-        assert log_one_minus_mean(BetaJumps(c, d)) == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert BetaJumps(c, d).log_mean() == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 class TestShapeProperties:
@@ -226,5 +222,5 @@ class TestShapeProperties:
     def test_jensen_bounds(self, dist):
         # e^{k E[ln(1-Z)]} <= E[(1-Z)^k] <= (1-E[Z])^k ordering flips at k=1
         k = 2.0
-        lower = math.exp(k * log_one_minus_mean(dist))
+        lower = math.exp(k * dist.log_mean())
         assert power_transform(dist, k) >= lower - 1e-12

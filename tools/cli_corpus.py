@@ -62,15 +62,8 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
     return out
 
 
-def run(src: Path, out: Path) -> int:
-    sys.path.insert(0, str(src))
-    sys.path.insert(1, str(ROOT / "perfbench"))
-    import problems
-    from levystop import cli
-
-    if Path(cli.__file__).resolve().parent != src / "levystop":
-        sys.exit(f"imported levystop from {cli.__file__}, not from {src}")
-    lines = []
+def results(problems, main):
+    """Run every request through main; yield one record per request, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "config.json"
         for name, cfg, argv in requests(problems):
@@ -79,10 +72,21 @@ def run(src: Path, out: Path) -> int:
                 argv = [argv[0], "--config", str(cfg_path), *argv[1:]]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
+                code = main(argv)
             shown = [json.dumps(cfg) if a == str(cfg_path) else a for a in argv]
-            lines.append(json.dumps({"request": name, "argv": shown, "exit": code,
-                                     "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}))
+            yield {"request": name, "argv": shown, "exit": code,
+                   "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def run(src: Path, out: Path) -> int:
+    sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import problems
+    from levystop import cli
+
+    if Path(cli.__file__).resolve().parent != src / "levystop":
+        sys.exit(f"imported levystop from {cli.__file__}, not from {src}")
+    lines = [json.dumps(record) for record in results(problems, cli.main)]
     out.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} requests written to {out}")
     return 0
