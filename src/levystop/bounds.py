@@ -42,10 +42,8 @@ __all__ = [
 class SandwichReport:
     """Jump solution plus its two continuous-diffusion envelopes."""
 
-    k1: float
     k_low: float            # quadratic root at theta = r (smallest exponent)
     k_high: float           # quadratic root at theta = r + lambda
-    x_star: float
     x_star_low: float       # threshold of the r + lambda comparison problem
     x_star_high: float      # threshold of the r comparison problem
     theta_star: float
@@ -72,10 +70,7 @@ def adjusted_drift(model: Model, k1: float) -> float:
     Geometric: the same correction applied to alpha + lambda mbar (the
     per-unit drift coefficient).
     """
-    lam = model.jump_intensity
-    if lam == 0.0:
-        return model.compensated_drift
-    return model.compensated_drift + (lam / k1) * jump_transform(model, k1)
+    return model.compensated_drift + (model.jump_intensity / k1) * jump_transform(model, k1)
 
 
 def certainty_growth(model: Model, k1: float) -> float:
@@ -120,7 +115,7 @@ def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> Sa
     statistical excursion, so it raises.
     """
     root = solve_k1(model)
-    sol = solve_threshold(model, payoff, root)
+    sol = solve_threshold(model, payoff, root.k1)
     k_low, k_high = root.bracket_low, root.bracket_high
     sol_high = solve_threshold(model, payoff, k_low)    # discount r: upper value
     sol_low = solve_threshold(model, payoff, k_high)    # discount r + lambda: lower value
@@ -142,10 +137,8 @@ def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> Sa
         raise SolverError(f"sandwich ordering violated by {worst:.3g}")
 
     return SandwichReport(
-        k1=root.k1,
         k_low=k_low,
         k_high=k_high,
-        x_star=sol.x_star,
         x_star_low=sol_low.x_star,
         x_star_high=sol_high.x_star,
         theta_star=adjusted_discount(model, root.k1),

@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from math import isfinite
 
 import numpy as np
 
@@ -92,8 +93,13 @@ def _problem(args) -> tuple[Model, Payoff]:
     """The config's model and payoff; --payoff and its flags replace the payoff."""
     model, payoff = _read_config(args.config)
     if args.payoff:
-        kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff, args.payoff)
+        kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff)
+        if kind is None:
+            raise InvalidModel(f"--payoff must be capped or power, got {args.payoff!r:.40}")
         params = {n: getattr(args, n) for n in _OVERRIDE_FLAGS if getattr(args, n) is not None}
+        for name, value in params.items():
+            if not isfinite(value):
+                raise InvalidModel(f"--{name} must be a finite number, got {value}")
         payoff = _build({"kind": kind, "params": params}, _PAYOFF_KINDS, "payoff override")
     if payoff is None:
         raise InvalidModel(f"{args.command} needs a payoff (config key or --payoff flags)")
@@ -180,7 +186,7 @@ def cmd_sweep(args) -> int:
     for v in values.tolist():
         m = replace(model, **{name: v})
         root = solve_k1(m)
-        sol = solve_threshold(m, payoff, root)
+        sol = solve_threshold(m, payoff, root.k1)
         k1s.append(root.k1)
         xs.append(sol.x_star)
         cells = (v, root.k1, sol.x_star, bounds.adjusted_discount(m, root.k1),
@@ -209,7 +215,7 @@ def cmd_simulate(args) -> int:
         grid = _parse_range(args.grid)
         result = mc.threshold_grid_search(model, payoff, args.x, grid, args.n,
                                           args.seed, args.horizon)
-        sol = solve_threshold(model, payoff, root)
+        sol = solve_threshold(model, payoff, root.k1)
         spacing = float(grid[1] - grid[0])
         payload = {
             "best_y": result.best_y,

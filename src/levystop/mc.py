@@ -104,7 +104,8 @@ def _engine_setup(model: Model, x0: float, levels: np.ndarray):
         if x0 <= 0 or np.any(levels <= 0):
             raise DomainError("geometric states and barriers must be positive")
         start = log(x0)
-        elevels = np.log(levels)
+        # a barrier at or below the start is passed at time 0, however log rounds
+        elevels = np.where(levels <= x0, -np.inf, np.log(levels))
         drift = model.drift - 0.5 * model.volatility ** 2 \
             + model.jump_intensity * model.mean_jump
     else:
@@ -210,11 +211,6 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
     return tau, end
 
 
-def _require_paths(n: int) -> None:
-    if n <= 1:
-        raise InvalidModel("need at least 2 paths")
-
-
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
                         horizon: float | None = None) -> np.ndarray:
     """First-passage times over each ascending barrier; inf where not reached.
@@ -225,7 +221,8 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.any(np.diff(levels) <= 0):
         raise InvalidModel("barriers must be strictly increasing")
-    _require_paths(n)
+    if n <= 1:
+        raise InvalidModel("need at least 2 paths")
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
     chunks = []
@@ -250,29 +247,30 @@ def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
     return PathResult(False, float("inf"), x_end)
 
 
-def _estimate(tau: np.ndarray, model: Model, horizon: float, seed: int,
-              g: float = 1.0) -> MCEstimate:
-    """g E[e^{-r tau}] from passage times, inf where the barrier was not reached."""
-    miss = ~np.isfinite(tau)
-    disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau)))
-    n = len(disc)
-    return MCEstimate(mean=g * float(disc.mean()),
-                      stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
-                      n_paths=n, horizon=horizon,
-                      truncation_bound=abs(g) * exp(-model.discount * horizon)
-                      * float(miss.mean()),
-                      seed=seed)
+def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
+             horizon: float | None) -> list[MCEstimate]:
+    """g_j E[e^{-r tau_j}], stopping at the first passage over each ascending
+    barrier, from one shared path set. A barrier at or below x is passed at
+    tau = 0, so its estimate is g_j exactly, with zero standard error."""
+    tau = first_passage_times(model, x, levels, n, seed, horizon)
+    horizon = _horizon(model, horizon)
+    estimates = []
+    for j, g in enumerate(gvals):
+        miss = ~np.isfinite(tau[:, j])  # not reached within the horizon
+        disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau[:, j])))
+        estimates.append(MCEstimate(mean=g * float(disc.mean()),
+                                    stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
+                                    n_paths=n, horizon=horizon,
+                                    truncation_bound=abs(g) * exp(-model.discount * horizon)
+                                    * float(miss.mean()),
+                                    seed=seed))
+    return estimates
 
 
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
                      horizon: float | None = None) -> MCEstimate:
-    """E[e^{-r tau_y}] from x; the analytic value is psi(x)/psi(y)."""
-    _require_paths(n)
-    horizon = _horizon(model, horizon)
-    if x >= y:
-        return MCEstimate(1.0, 0.0, n, horizon, 0.0, seed)
-    tau = first_passage_times(model, x, [y], n, seed, horizon)[:, 0]
-    return _estimate(tau, model, horizon, seed)
+    """E[e^{-r tau_y}] from x: psi(x)/psi(y) below y, 1 at or above it."""
+    return _stop_at(model, x, [y], [1.0], n, seed, horizon)[0]
 
 
 def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed: int,
@@ -280,14 +278,10 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     """Value of the stop-at-y policy: E[e^{-r tau_y} g(X_tau)] = g(y) E[e^{-r tau_y}].
 
     The factorization holds path by path: jumps are downward, so the
-    barrier is crossed continuously and X_tau = y on every hit.
+    barrier is crossed continuously and X_tau = y on every hit. From a
+    start at or above y the policy stops at once and is worth g(x).
     """
-    _require_paths(n)
-    horizon = _horizon(model, horizon)
-    if x >= y:
-        return MCEstimate(payoff.eval(x), 0.0, n, horizon, 0.0, seed)
-    tau = first_passage_times(model, x, [y], n, seed, horizon)[:, 0]
-    return _estimate(tau, model, horizon, seed, payoff.eval(y))
+    return _stop_at(model, x, [y], [payoff.eval(max(x, y))], n, seed, horizon)[0]
 
 
 def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n: int,
@@ -296,15 +290,12 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
 
     Shared paths make neighboring estimates strongly positively
     correlated, so the argmax is far more stable than independent runs
-    at the same n. Ties break toward the largest barrier.
+    at the same n. A level at or below x is worth g(x), as in
+    policy_value. Ties break toward the largest barrier.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    horizon = _horizon(model, horizon)
-    tau = first_passage_times(model, x, thresholds, n, seed, horizon)
-    gvals = np.atleast_1d(np.asarray(payoff.eval(thresholds), dtype=float))
-    estimates = [MCEstimate(g, 0.0, n, horizon, 0.0, seed) if x >= y
-                 else _estimate(tau[:, j], model, horizon, seed, g)
-                 for j, (y, g) in enumerate(zip(thresholds, gvals.tolist()))]
+    gvals = np.atleast_1d(np.asarray(payoff.eval(np.maximum(thresholds, x)), dtype=float))
+    estimates = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
     means = np.array([e.mean for e in estimates])
     best = len(means) - 1 - int(np.argmax(means[::-1]))
     return GridSearchResult(thresholds=tuple(float(v) for v in thresholds),

@@ -115,31 +115,16 @@ class GammaJumps:
 
 
 @dataclass(frozen=True)
-class ExponentialJumps:
-    """Exponential(rate) marks, the shape = 1 gamma special case."""
+class ExponentialJumps(GammaJumps):
+    """Exponential(rate) marks: the gamma law with shape 1, whose maths it inherits."""
 
     rate: float
+    shape: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_finite("exponential jump law", rate=self.rate)
         if not self.rate > 0:
             raise InvalidModel("exponential jump law needs rate > 0")
-
-    support = (0.0, np.inf)
-
-    def unit_marks(self) -> bool:
-        return False
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return gen.exponential(1.0 / self.rate, size)
-
-    def laplace(self, s: float) -> float:
-        if s <= -self.rate:
-            raise DivergentTransform(f"exponential Laplace transform diverges at s = {s}")
-        return self.rate / (self.rate + s)
 
 
 @dataclass(frozen=True)
@@ -514,10 +499,9 @@ class Model:
 
     @property
     def compensated_drift(self) -> float:
-        """Drift between jumps: mu + gamma*lambda*mbar, or alpha + lambda*mbar."""
-        if self.family is Family.ARITHMETIC:
-            return self.drift + self.jump_scale * self.jump_intensity * self.mean_jump
-        return self.drift + self.jump_intensity * self.mean_jump
+        """Drift between jumps: mu + gamma*lambda*mbar, or alpha + lambda*mbar
+        (gamma is pinned to 1 for geometric dynamics)."""
+        return self.drift + self.jump_scale * self.jump_intensity * self.mean_jump
 
     def require_positive_discount(self) -> None:
         if not self.discount > 0:

@@ -97,7 +97,7 @@ def figure3() -> dict[str, np.ndarray]:
         model = _figure_model(sigma, concave=True)
         root = solve_k1(model)
         rows["sigma"].append(float(sigma))
-        rows["x_star"].append(solve_threshold(model, payoff, root).x_star)
+        rows["x_star"].append(solve_threshold(model, payoff, root.k1).x_star)
         rows["x_star_r_lambda"].append(solve_threshold(model, payoff, root.bracket_high).x_star)
         rows["x_star_r"].append(solve_threshold(model, payoff, root.bracket_low).x_star)
     return {k: np.asarray(v) for k, v in rows.items()}

@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoFiniteThreshold, SolverError
 from .model import Family, Model, Payoff, TabulatedPayoff, validate
-from .roots import RootResult, psi_ratio, solve_k1
+from .roots import psi_ratio, solve_k1
 
 __all__ = ["ThresholdSolution", "solve_threshold", "value_fn"]
 
@@ -55,17 +55,15 @@ class ThresholdSolution:
 
 
 def solve_threshold(model: Model, payoff: Payoff,
-                    k1: float | RootResult | None = None) -> ThresholdSolution:
+                    k1: float | None = None) -> ThresholdSolution:
     """Solve sup_{y >= x0} g(y)/psi(y) for the optimal threshold.
 
-    k1 may be passed in (a float or a RootResult) to reuse a solved root,
-    or to price the continuous comparison problems with their own
-    exponents; None solves the model's characteristic equation.
+    k1 may be passed in to reuse a solved root, or to price the continuous
+    comparison problems with their own exponents; None solves the model's
+    characteristic equation.
     """
     model.require_positive_discount()
     validate(model, payoff)
-    if isinstance(k1, RootResult):
-        k1 = k1.k1
     if k1 is None:
         k1 = solve_k1(model).k1
     if not (k1 > 0 and isfinite(k1)):

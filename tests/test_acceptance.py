@@ -72,11 +72,11 @@ def test_criterion_03_table3_premiums():
 
 def test_criterion_04_threshold_anchors():
     rep = sandwich(fig2_model(), PowerCall(1.0, 1.0, 1.0))
-    errs = (abs(rep.x_star - 2.39), abs(rep.x_star_low - 1.96),
+    errs = (abs(rep.solution.x_star - 2.39), abs(rep.x_star_low - 1.96),
             abs(rep.x_star_high - 2.75))
     ok = max(errs) <= 0.01
     _report(4, "reference thresholds", ok,
-            f"x*={rep.x_star:.4f} low={rep.x_star_low:.4f} "
+            f"x*={rep.solution.x_star:.4f} low={rep.x_star_low:.4f} "
             f"high={rep.x_star_high:.4f} max_err={max(errs):.4f} tol=0.01")
 
 
@@ -88,7 +88,7 @@ def test_criterion_05_sandwich_ordering():
         assert len(rep.grid) == 200
         worst = max(worst, float(np.max(rep.v_low - rep.v)),
                     float(np.max(rep.v - rep.v_high)))
-        assert rep.x_star_low <= rep.x_star <= rep.x_star_high
+        assert rep.x_star_low <= rep.solution.x_star <= rep.x_star_high
     ok = worst <= 1e-10
     _report(5, "sandwich bounds", ok,
             f"families=2 grid_points=200 worst_violation={worst:.3g} tol=1e-10")
@@ -205,7 +205,7 @@ def test_criterion_10_comparative_statics():
         for m in models:
             root = solve_k1(m)
             k1s.append(root.k1)
-            xs.append(solve_threshold(m, payoff, root).x_star)
+            xs.append(solve_threshold(m, payoff, root.k1).x_star)
         return np.array(k1s), np.array(xs)
 
     checks = []

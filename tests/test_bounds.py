@@ -29,11 +29,11 @@ from conftest import fig2_model, table1_model, table2_model
 class TestSandwich:
     def test_reference_thresholds(self, fig2, fig2_payoff):
         rep = sandwich(fig2, fig2_payoff)
-        assert rep.x_star == pytest.approx(2.3886163117354204, abs=1e-9)
+        assert rep.solution.x_star == pytest.approx(2.3886163117354204, abs=1e-9)
         assert rep.x_star_low == pytest.approx(1.9567344090461676, abs=1e-9)
         assert rep.x_star_high == pytest.approx(2.7547349162513908, abs=1e-9)
-        assert rep.x_star_low < rep.x_star < rep.x_star_high
-        assert rep.k_low < rep.k1 < rep.k_high
+        assert rep.x_star_low < rep.solution.x_star < rep.x_star_high
+        assert rep.k_low < rep.solution.k1 < rep.k_high
 
     def test_value_ordering(self, fig2, fig2_payoff):
         rep = sandwich(fig2, fig2_payoff)
@@ -50,15 +50,15 @@ class TestSandwich:
         rep = sandwich(m, capped)
         assert np.all(rep.v_low <= rep.v + 1e-10)
         assert np.all(rep.v <= rep.v_high + 1e-10)
-        assert rep.x_star_low <= rep.x_star <= rep.x_star_high
+        assert rep.x_star_low <= rep.solution.x_star <= rep.x_star_high
         # grid reaches below break-even for the arithmetic family
         assert rep.grid[0] < 0.0
 
     def test_no_jumps_collapses(self, capped):
         m = Model(Family.ARITHMETIC, 0.04, 0.1, 0.0, None, 0.05)
         rep = sandwich(m, capped)
-        assert rep.k_low == rep.k1 == rep.k_high
-        assert rep.x_star_low == rep.x_star == rep.x_star_high
+        assert rep.k_low == rep.solution.k1 == rep.k_high
+        assert rep.x_star_low == rep.solution.x_star == rep.x_star_high
         np.testing.assert_array_equal(rep.v_low, rep.v)
         np.testing.assert_array_equal(rep.v, rep.v_high)
 

@@ -130,8 +130,11 @@ class TestSolve:
         # solve and sweep share one override parser, checked like a config payoff
         for cfg, argv, named in [
             (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2"], "'I'"),
-            (TABLE1_CFG, ["solve", "--payoff", "tabulated"], "'breakpoints'"),
+            (TABLE1_CFG, ["solve", "--payoff", "tabulated"],
+             "--payoff must be capped or power, got 'tabulated'"),
             (TABLE1_CFG, ["solve", "--payoff", "digital", "--K", "1"], "'digital'"),
+            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "inf", "--I", "1"],
+             "error: --K must be a finite number, got inf"),
             (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2", "--I", "1", "--a", "1"],
              "'a'"),
             (FIG2_CFG, ["sweep", "--payoff", "power", "--a", "1", "--b", "1",
@@ -325,6 +328,17 @@ class TestSimulate:
         assert "contract" in err
         json.loads(out)  # the report is still emitted
 
+    def test_grid_from_above_the_threshold_passes_assert(self, capsys, cfg_file):
+        # every level at or below x = 2.5 is worth g(2.5) = 1.5, which beats
+        # waiting for the levels above: best_y is the largest level below x
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
+                                 "--x", "2.5", "--grid", "2.0:2.8:5", "--n", "20000",
+                                 "--seed", "3", "--assert")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["best_y"] == 2.4
+        assert [p["mean"] for p in data["points"][:3]] == [1.5, 1.5, 1.5]
+
     def test_grid_needs_payoff(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "simulate", "--config", cfg_file(TABLE1_CFG),
                                "--x", "0.0", "--grid", "1.0:2.0:3")
@@ -385,6 +399,7 @@ class TestExitCodes:
         ("--y", "0.5", "--n", "0"),  # start above the barrier: n is still checked
         ("--y", "0.5", "--n", "1"),
         ("--y", "2.0", "--x", "-1"),  # geometric states must be positive
+        ("--y", "-1", "--x", "3"),  # and barriers, even below the start
     ])
     def test_bad_simulation_input(self, capsys, cfg_file, flags):
         code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
@@ -392,6 +407,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):
+        # exponential marks reuse the gamma law's maths, not its message
+        cfg = dict(TABLE1_CFG, jump_dist={"kind": "exponential", "params": {"rate": rate}})
+        code, out, err = run_cli(capsys, "root", "--config", cfg_file(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: exponential jump law needs rate > 0\n"
 
     @pytest.mark.parametrize("key,value", [
         ("drift", float("nan")),
@@ -582,7 +606,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 476
+        assert len(records) == 500
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}

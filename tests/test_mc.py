@@ -276,6 +276,14 @@ class TestPolicyValue:
         assert pol.mean == float(payoff_eval(payoff, 3.0))
         assert pol.stderr == 0.0
 
+    def test_start_on_geometric_barrier_is_exact(self, fig2, fig2_payoff):
+        # numpy's vectorized log and math.log can differ in the last bit at
+        # this start; the barrier is still passed at time 0
+        x = 2.10853864638184
+        pol = policy_value(fig2, fig2_payoff, x, x, 20_000, seed=3)
+        assert pol.mean == fig2_payoff.eval(x)
+        assert pol.stderr == 0.0
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_path_count_checked_above_barrier(self, fig2, n):
         with pytest.raises(InvalidModel, match="paths"):
@@ -328,8 +336,20 @@ class TestGridSearch:
         res = threshold_grid_search(fig2, payoff, 1.0, grid, 30_000, seed=7)
         assert abs(res.best_y - sol.x_star) <= 0.4  # within two steps at this n
 
+    def test_levels_at_or_below_start_are_worth_g_of_start(self, fig2, fig2_payoff):
+        # from x = 2.5 above x* = 2.389, stopping at once, worth g(2.5) = 1.5,
+        # beats waiting for 2.6 or 2.8; every level at or below x pays g(x) at
+        # time 0, exactly as policy_value does
+        levels = [2.0, 2.2, 2.4, 2.6, 2.8]
+        res = threshold_grid_search(fig2, fig2_payoff, 2.5, levels, 20_000, seed=3)
+        for y, est in zip(levels[:3], res.estimates):
+            single = policy_value(fig2, fig2_payoff, 2.5, y, 20_000, seed=3)
+            assert est.mean == single.mean == fig2_payoff.eval(2.5) == 1.5
+            assert est.stderr == single.stderr == 0.0
+        assert res.best_y == 2.4
+
     def test_ties_break_to_largest(self, fig2):
-        # barriers at or below the start all pay g(y) at time zero; the
+        # barriers at or below the start all pay g(x) at time zero; the
         # documented tie-break picks the largest maximizer
         payoff = CappedCall(K=1.2, I=0.2)
         res = threshold_grid_search(fig2, payoff, 2.0, [1.5, 1.8, 2.0], 1000, seed=1)

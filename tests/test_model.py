@@ -101,6 +101,14 @@ class TestJumpDists:
             assert draws.min() >= lo
             assert draws.max() <= hi
 
+    def test_exponential_samples_are_gamma_shape_one(self):
+        # the exponential law is the gamma law with shape 1: equal streams, equal draws
+        stream = lambda: np.random.Generator(np.random.Philox(7))
+        a = ExponentialJumps(2.5).sample(stream(), 10_000)
+        b = GammaJumps(1.0, 2.5).sample(stream(), 10_000)
+        assert np.array_equal(a, b)
+        assert ExponentialJumps(2.5).mean() == GammaJumps(1.0, 2.5).mean()
+
     def test_sampling_deterministic(self):
         dist = TabulatedJumps((0.1, 0.5), (0.4, 0.6))
         a = dist.sample(np.random.default_rng(7), 100)

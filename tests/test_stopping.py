@@ -128,16 +128,15 @@ class TestPowerGeometric:
 
     def test_explicit_exponent_reuse(self, fig2, fig2_payoff):
         res = solve_k1(fig2)
-        via_result = solve_threshold(fig2, fig2_payoff, k1=res)
         via_float = solve_threshold(fig2, fig2_payoff, k1=res.k1)
         auto = solve_threshold(fig2, fig2_payoff)
-        assert via_result.x_star == via_float.x_star == auto.x_star
+        assert via_float.x_star == auto.x_star
 
     def test_comparison_exponents_order_thresholds(self, fig2, fig2_payoff):
         res = solve_k1(fig2)
         low_exp = solve_threshold(fig2, fig2_payoff, k1=res.bracket_low)
         high_exp = solve_threshold(fig2, fig2_payoff, k1=res.bracket_high)
-        mid = solve_threshold(fig2, fig2_payoff, k1=res)
+        mid = solve_threshold(fig2, fig2_payoff, k1=res.k1)
         # smaller exponent -> larger multiplier -> larger threshold
         assert low_exp.x_star > mid.x_star > high_exp.x_star
 

@@ -51,8 +51,8 @@ class TestLaplace:
 
     def test_exponential_matches_gamma_shape_one(self):
         for s in (0.0, 0.4, 2.7):
-            assert laplace_transform(ExponentialJumps(2.0), s) == pytest.approx(
-                laplace_transform(GammaJumps(1.0, 2.0), s), abs=1e-14)
+            assert laplace_transform(ExponentialJumps(2.0), s) == \
+                laplace_transform(GammaJumps(1.0, 2.0), s)
 
     def test_point_mass(self):
         assert laplace_transform(PointMassJumps(0.5), 2.0) == pytest.approx(math.exp(-1.0))

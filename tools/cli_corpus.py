@@ -8,12 +8,15 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (476 requests):
+The corpus (500 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
   - solve --grid, a capped-call override, all six reproduce targets at
-    --precision 2 and full, and two error cases (exit 2 and exit 3).
+    --precision 2 and full, and two error cases (exit 2 and exit 3);
+  - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
+    models with their reference payoffs: --y from below and from above the
+    barrier, and --grid from below every level.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(6)
 TARGETS = ("table1", "table2", "table3", "figure1", "figure2", "figure3")
+SIM_GRID = {"arithmetic": "1.0:3.0:5", "geometric": "2.0:2.8:5"}
 
 
 def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
@@ -59,6 +63,16 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
         ("error undominated power", dict(readme, payoff={
             "kind": "power_call", "params": {"a": 1.0, "b": 3.0, "K": 1.0}}), ["solve"]),
     ]
+    sim = ["--n", "2000", "--seed", "3"]
+    for name, base in problems.REFERENCE_MODELS.items():
+        fam = base["family"]
+        cfg = dict(base, payoff=problems.REFERENCE_PAYOFF[fam])
+        x, y = (repr(v) for v in problems.REFERENCE_XY[fam])
+        out += [
+            (f"simulate {name} below", cfg, ["simulate", "--x", x, "--y", y, *sim]),
+            (f"simulate {name} above", cfg, ["simulate", "--x", y, "--y", x, *sim]),
+            (f"simulate {name} grid", cfg, ["simulate", "--x", x, "--grid", SIM_GRID[fam], *sim]),
+        ]
     return out
 
 
