@@ -53,6 +53,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise InvalidModel(f"expected lo:hi:n, got {text!r}") from None
+    if not isfinite(hi - lo):  # a nan or infinite bound, or hi - lo overflowing
+        raise InvalidModel(f"range bounds and their span must be finite, got {text!r}")
     if n < 2 or hi <= lo:
         raise InvalidModel("range needs hi > lo and n >= 2")
     return np.linspace(lo, hi, n)

@@ -24,7 +24,10 @@ times carry no discretization error.
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
 driven by its own Philox stream keyed (seed, chunk index), and chunk
 results are aggregated in index order. Replays are bit-identical for a
-given seed regardless of how chunks might be scheduled.
+given seed regardless of how chunks might be scheduled. Each pass draws,
+in an order, sizes and arguments that performance changes keep: passage
+times of every live path (reach coins if c < 0, Levy normals, wald), then
+gap-end draws for the misses, then their jump marks and exponential gaps.
 """
 from __future__ import annotations
 
@@ -134,12 +137,17 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np
     much and the time is taken as Levy, d^2/(s2 Z^2): numpy's wald
     cancels to zero as |c| d/s2 nears rounding.
     """
-    tau = np.full(d.size, np.inf)
-    go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2)) if c < 0 else np.arange(d.size)
-    levy = abs(c) * d[go] < 1e-9 * s2
-    tau[go[levy]] = d[go[levy]] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
-    go = go[~levy]
-    tau[go] = gen.wald(d[go] / abs(c), d[go] ** 2 / s2)
+    if c < 0:  # a coin per row; the reached rows then pass as with drift |c|
+        go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2))
+        tau = np.full(d.size, np.inf)
+        tau[go] = _passage(gen, d[go], -c, s2)
+        return tau
+    levy = c * d < 1e-9 * s2
+    if not levy.any():  # the usual case: one wald call, no index bookkeeping
+        return gen.wald(d / c, d ** 2 / s2)
+    tau = np.empty(d.size)
+    tau[levy] = d[levy] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
+    tau[~levy] = gen.wald(d[~levy] / c, d[~levy] ** 2 / s2)
     return tau
 
 
@@ -170,11 +178,12 @@ def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.nda
 def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float,
                     levels: np.ndarray, drift: float,
                     horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """tau matrix (n, len(levels)) plus terminal engine-space positions."""
+    """Level-major tau matrix (len(levels), n) plus terminal engine-space positions."""
     m = len(levels)
     sigma = model.volatility
     lam = model.jump_intensity
-    tau = np.full((n, m), np.inf)
+    tau = np.full((m, n), np.inf)
+    cells = tau.reshape(-1)  # a view: level j, row i is cell j * n + i
     end = np.full(n, start)
     gap = np.full(n, horizon)
     if lam > 0:
@@ -182,7 +191,7 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
 
     # state of the live paths only: row, position, clock, next barrier, gap end
     hit0 = int(np.searchsorted(levels, start, side="right"))
-    tau[:, :hit0] = 0.0
+    tau[:hit0] = 0.0
     rows = np.arange(n if hit0 < m else 0)
     pos, t, k, gap = end[rows], np.zeros(rows.size), np.full(rows.size, hit0), gap[rows]
 
@@ -194,7 +203,8 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
             dt = _passage(gen, d, drift, sigma * sigma)
             hit = dt < h
             t = np.where(hit, t + dt, gap)
-            tau[rows[hit], k[hit]] = t[hit]
+            got = np.flatnonzero(hit)
+            cells[k[got] * n + rows[got]] = t[got]
             k = k + hit
 
             miss = np.flatnonzero(~hit)
@@ -205,8 +215,10 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
                 pos[miss] += _jump_shift(model, gen, miss.size)
                 gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
             live = (k < m) & (t < horizon)
-            end[rows[~live]] = pos[~live]
-            rows, pos, t, k, gap = rows[live], pos[live], t[live], k[live], gap[live]
+            if not live.all():  # compact only when some path finished
+                end[rows[~live]] = pos[~live]
+                keep = np.flatnonzero(live)
+                rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
 
     return tau, end
 
@@ -216,7 +228,8 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     """First-passage times over each ascending barrier; inf where not reached.
 
     One shared path set serves every barrier (common random numbers), and
-    tau is nondecreasing along each row by construction.
+    tau is nondecreasing along each row by construction. The (n, m) result
+    may be a transposed view of a level-major array.
     """
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.any(np.diff(levels) <= 0):
@@ -231,7 +244,7 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
         gen = _chunk_stream(seed, index)
         tau, _ = _simulate_chunk(model, gen, size, start, elevels, drift, horizon)
         chunks.append(tau)
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate(chunks, axis=1).T
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
@@ -252,12 +265,12 @@ def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
     """g_j E[e^{-r tau_j}], stopping at the first passage over each ascending
     barrier, from one shared path set. A barrier at or below x is passed at
     tau = 0, so its estimate is g_j exactly, with zero standard error."""
-    tau = first_passage_times(model, x, levels, n, seed, horizon)
+    tau = first_passage_times(model, x, levels, n, seed, horizon).T  # contiguous level rows
     horizon = _horizon(model, horizon)
     estimates = []
     for j, g in enumerate(gvals):
-        miss = ~np.isfinite(tau[:, j])  # not reached within the horizon
-        disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau[:, j])))
+        miss = ~np.isfinite(tau[j])  # not reached within the horizon
+        disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau[j])))
         estimates.append(MCEstimate(mean=g * float(disc.mean()),
                                     stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
                                     n_paths=n, horizon=horizon,

@@ -408,6 +408,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--grid"), ("sweep", "--range"), ("simulate", "--grid")])
+    @pytest.mark.parametrize("text", [
+        "nan:3:5", "0:nan:5", "0:inf:3", "-inf:3:3", "-1e308:1e308:3"])
+    def test_non_finite_range_is_invalid_input(self, capsys, cfg_file, command, flag, text):
+        extra = {"solve": ["--csv", "-"], "sweep": ["--param", "sigma"],
+                 "simulate": ["--x", "1.0", "--n", "100"]}[command]
+        code, out, err = run_cli(capsys, command, "--config", cfg_file(FIG2_CFG),
+                                 *extra, f"{flag}={text}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):
         # exponential marks reuse the gamma law's maths, not its message
@@ -606,7 +620,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 500
+        assert len(records) == 509
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}

@@ -26,7 +26,7 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import _engine_setup, _gap_end, _passage
+from levystop.mc import CHUNK, _chunk_stream, _engine_setup, _gap_end, _jump_shift, _passage
 
 from conftest import fig2_model, table1_model
 
@@ -356,3 +356,99 @@ class TestGridSearch:
         means = [e.mean for e in res.estimates]
         assert means[0] == means[1] == means[2] == 1.0
         assert res.best_y == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Reference engine: the index-mask pass loop the engine was first written
+# as. Performance work on mc.py must keep every draw of every stream, so
+# the shipped engine must reproduce this one bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_passage(gen, d, c, s2):
+    tau = np.full(d.size, np.inf)
+    go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2)) if c < 0 else np.arange(d.size)
+    levy = abs(c) * d[go] < 1e-9 * s2
+    tau[go[levy]] = d[go[levy]] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
+    go = go[~levy]
+    tau[go] = gen.wald(d[go] / abs(c), d[go] ** 2 / s2)
+    return tau
+
+
+def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
+    m = len(levels)
+    sigma = model.volatility
+    lam = model.jump_intensity
+    tau = np.full((n, m), np.inf)
+    end = np.full(n, start)
+    gap = np.full(n, horizon)
+    if lam > 0:
+        gap = np.minimum(gen.exponential(1.0 / lam, n), horizon)
+    hit0 = int(np.searchsorted(levels, start, side="right"))
+    tau[:, :hit0] = 0.0
+    rows = np.arange(n if hit0 < m else 0)
+    pos, t, k, gap = end[rows], np.zeros(rows.size), np.full(rows.size, hit0), gap[rows]
+    with np.errstate(divide="ignore", over="ignore"):
+        while rows.size:
+            lev = levels[k]
+            d = np.maximum(lev - pos, 1e-12)
+            h = gap - t
+            dt = _ref_passage(gen, d, drift, sigma * sigma)
+            hit = dt < h
+            t = np.where(hit, t + dt, gap)
+            tau[rows[hit], k[hit]] = t[hit]
+            k = k + hit
+            miss = np.flatnonzero(~hit)
+            pos = lev
+            pos[miss] -= _gap_end(gen, d[miss], h[miss], dt[miss], drift, sigma)
+            if lam > 0:
+                miss = miss[gap[miss] < horizon]
+                pos[miss] += _jump_shift(model, gen, miss.size)
+                gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
+            live = (k < m) & (t < horizon)
+            end[rows[~live]] = pos[~live]
+            rows, pos, t, k, gap = rows[live], pos[live], t[live], k[live], gap[live]
+    return tau, end
+
+
+def _ref_first_passage_times(model, x0, levels, n, seed):
+    levels = np.asarray(levels, dtype=float)
+    start, elevels, drift = _engine_setup(model, x0, levels)
+    return np.concatenate([
+        _ref_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
+                            elevels, drift, default_horizon(model))[0]
+        for index, lo in enumerate(range(0, n, CHUNK))])
+
+
+class TestReferenceStream:
+    """Same seeds, same draws, same bits as the reference engine above."""
+
+    @pytest.mark.parametrize("model, x, levels, n", [
+        (fig2_model(), 1.0, np.linspace(2.0, 2.8, 17), 3000),
+        (table1_model(sigma=0.25, lam=0.2), 0.0, [0.5, 1.0, 1.5, 2.0], 3000),
+        # engine drift -0.3 + 1.0 * 0.1 < 0: defective passage, coin flips
+        (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0,
+         [0.1, 0.3], 2000),
+        # engine drift -0.1 + 0.1 * 1 = 0 exactly: every passage is Levy
+        (Model(Family.ARITHMETIC, -0.1, 0.2, 0.1, ExponentialJumps(1.0), 0.05), 0.0,
+         [0.2, 0.5], 2000),
+        # a start inside the grid: the first levels are passed at time 0
+        (fig2_model(), 2.3, np.linspace(2.0, 2.8, 17), 3000),
+        # two chunks, concatenated
+        (fig2_model(), 1.0, [1.5, 2.0, 2.4], 70_000),
+    ], ids=["fig2", "table1", "negative_engine_drift", "zero_engine_drift",
+            "start_inside_grid", "two_chunks"])
+    def test_first_passage_times_match(self, model, x, levels, n):
+        got = first_passage_times(model, x, levels, n, seed=17)
+        ref = _ref_first_passage_times(model, x, levels, n, seed=17)
+        assert got.shape == ref.shape == (n, len(levels))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("c", [0.3, -0.3])
+    def test_passage_straddling_the_levy_cut_matches(self, c):
+        # |c| d < 1e-9 s2 on the first half of the rows only
+        s2 = 0.04
+        d = np.concatenate([np.geomspace(1e-14, 1e-11, 500), np.linspace(0.01, 2.0, 500)])
+        assert 0 < np.count_nonzero(abs(c) * d < 1e-9 * s2) < d.size
+        got = _passage(np.random.Generator(np.random.Philox(3)), d, c, s2)
+        ref = _ref_passage(np.random.Generator(np.random.Philox(3)), d, c, s2)
+        assert np.array_equal(got, ref)

@@ -8,7 +8,7 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (500 requests):
+The corpus (509 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
@@ -16,7 +16,9 @@ The corpus (500 requests):
     --precision 2 and full, and two error cases (exit 2 and exit 3);
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
-    barrier, and --grid from below every level.
+    barrier, and --grid from below every level, then --grid from a start
+    between two levels (so the first levels are passed at time 0), and one
+    fig2 --grid run at n = 70000, which spans two engine chunks.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(6)
 TARGETS = ("table1", "table2", "table3", "figure1", "figure2", "figure3")
 SIM_GRID = {"arithmetic": "1.0:3.0:5", "geometric": "2.0:2.8:5"}
+SIM_INSIDE = {"arithmetic": "1.75", "geometric": "2.3"}  # between two SIM_GRID levels
 
 
 def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
@@ -73,6 +76,15 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
             (f"simulate {name} above", cfg, ["simulate", "--x", y, "--y", x, *sim]),
             (f"simulate {name} grid", cfg, ["simulate", "--x", x, "--grid", SIM_GRID[fam], *sim]),
         ]
+    for name, base in problems.REFERENCE_MODELS.items():
+        fam = base["family"]
+        cfg = dict(base, payoff=problems.REFERENCE_PAYOFF[fam])
+        out.append((f"simulate {name} grid inside", cfg,
+                    ["simulate", "--x", SIM_INSIDE[fam], "--grid", SIM_GRID[fam], *sim]))
+    fig2 = dict(problems.FIG2_CONFIG, payoff=problems.REFERENCE_PAYOFF["geometric"])
+    out.append(("simulate fig2 grid two chunks", fig2,
+                ["simulate", "--x", "1.0", "--grid", SIM_GRID["geometric"],
+                 "--n", "70000", "--seed", "3"]))
     return out
 
 
