@@ -57,7 +57,18 @@ def _parse_range(text: str) -> np.ndarray:
         raise InvalidModel(f"range bounds and their span must be finite, got {text!r}")
     if n < 2 or hi <= lo:
         raise InvalidModel("range needs hi > lo and n >= 2")
-    return np.linspace(lo, hi, n)
+    try:
+        return np.linspace(lo, hi, n)
+    except (MemoryError, ValueError) as exc:  # more points than memory, or than an array holds
+        raise InvalidModel(f"range of {n} points is too large: {exc}") from None
+
+
+def _write(out: str, newline: str | None, write) -> None:
+    try:
+        with open(out, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise InvalidModel(f"cannot write output: {exc}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -66,8 +77,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
     except ValueError as exc:  # NaN or infinity: an overflow upstream
         raise SolverError(f"result is not finite: {exc}") from None
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, None, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -81,8 +91,7 @@ def _csv_out(header: list[str], rows, out: str | None, trailer: list[str] | None
             fh.write(f"# {line}\r\n")
 
     if out:
-        with open(out, "w", newline="") as fh:
-            write(fh)
+        _write(out, "", write)
     else:
         write(sys.stdout)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BadJumpSupport,
@@ -329,6 +328,44 @@ class PowerCall:
         return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b)
 
 
+def _sign(v: float) -> float:
+    # numpy's sign: nan for nan, so that it differs from every sign
+    return v if v != v or v == 0.0 else math.copysign(1.0, v)
+
+
+def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, clipped to keep the data's shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x: tuple[float, ...], y: tuple[float, ...]) -> list[float]:
+    """Node slopes of the shape-preserving PCHIP interpolant (Fritsch &
+    Carlson 1980): 0 where the secants change sign or vanish, else their
+    weighted harmonic mean; three-point estimates at the ends. The float
+    operations are scipy's PchipInterpolator._find_derivatives, in its order."""
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(y, y[1:], h)]
+    if len(m) == 1:
+        return [m[0], m[0]]
+    d = [_pchip_edge_slope(h[0], h[1], m[0], m[1])]
+    for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+        if _sign(m0) != _sign(m1) or m0 == 0.0 or m1 == 0.0:
+            d.append(0.0)
+            continue
+        w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+        whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
+        # a subnormal secant overflows the mean to inf, so the slope is 0;
+        # secants overflowing to inf give a zero mean, which numpy divides to inf
+        d.append(1.0 / whmean if whmean else math.inf)
+    d.append(_pchip_edge_slope(h[-1], h[-2], m[-1], m[-2]))
+    return d
+
+
 @dataclass(frozen=True)
 class TabulatedPayoff:
     """Monotone piecewise cubic through (breakpoints, values).
@@ -339,16 +376,18 @@ class TabulatedPayoff:
     breakpoints; values must be nondecreasing and cross zero so a unique
     break-even point exists.
 
-    Construction caches the spline, its terminal slope, the break-even
-    point, and per interval the left breakpoint with the coefficients of
-    g and g', which eval and deriv sum for a float x.
+    Construction caches per interval the left breakpoint with the
+    ascending power coefficients of g and g' (scipy's CubicHermiteSpline
+    and its derivative, bit for bit), which eval and deriv sum for a
+    float x; the same g coefficients as a (4, n-1) array for array x; the
+    terminal slope and the break-even point.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    _spline: PchipInterpolator = field(init=False, repr=False, compare=False)
     _end_slope: float = field(init=False, repr=False, compare=False)
     _pieces: tuple = field(init=False, repr=False, compare=False)
+    _coefs: np.ndarray = field(init=False, repr=False, compare=False)
     _break_even: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -369,18 +408,20 @@ class TabulatedPayoff:
             raise BadPayoff("tabulated payoff is positive everywhere: no break-even point")
         if vals[-1] <= 0:
             raise BadPayoff("tabulated payoff never becomes positive")
-        try:
-            # a subnormal secant overflows PCHIP's harmonic mean to inf, so the
-            # node slope is 0, the value it rounds to: the warning adds nothing
-            with np.errstate(over="ignore", divide="ignore"):
-                spline = PchipInterpolator(np.asarray(bp), np.asarray(vals), extrapolate=False)
-        except ValueError as exc:  # slopes overflow on extreme tables
-            raise BadPayoff(f"tabulated payoff cannot be interpolated: {exc}") from exc
-        deriv = spline.derivative()
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_end_slope", float(deriv(bp[-1])))
-        object.__setattr__(self, "_pieces", tuple(zip(
-            bp[:-1], spline.c[::-1].T.tolist(), deriv.c[::-1].T.tolist())))
+        slopes = _pchip_slopes(bp, vals)
+        if not all(map(math.isfinite, slopes)):  # slopes overflow on extreme tables
+            raise BadPayoff("tabulated payoff cannot be interpolated: "
+                            "`dydx` must contain only finite values.")
+        pieces = []
+        for x0, x1, y0, y1, d0, d1 in zip(bp, bp[1:], vals, vals[1:], slopes, slopes[1:]):
+            dx = x1 - x0
+            secant = (y1 - y0) / dx
+            t = (d0 + d1 - 2 * secant) / dx
+            c2, c3 = (secant - d0) / dx - t, t / dx
+            pieces.append((x0, (y0, d0, c2, c3), (d0, 2.0 * c2, 3.0 * c3)))
+        object.__setattr__(self, "_pieces", tuple(pieces))
+        object.__setattr__(self, "_coefs", np.array([p[1] for p in pieces]).T.copy())
+        object.__setattr__(self, "_end_slope", self._piece_sum(bp[-1], 2))
         # bisection to 1e-12 on the segment where g turns positive (the
         # last nonpositive node is never the last node: vals[-1] > 0)
         idx = max(i for i, v in enumerate(vals) if v <= 0.0)
@@ -416,7 +457,14 @@ class TabulatedPayoff:
                 return self.values[-1] + self._end_slope * (x - bp[-1])
             return self._piece_sum(max(x, bp[0]), 1)
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self._spline(np.clip(x, bp[0], bp[-1])), dtype=float)
+        nodes = np.asarray(bp)
+        inside = np.clip(x, bp[0], bp[-1])
+        piece = np.minimum(np.searchsorted(nodes, inside, side="right"), len(bp) - 1) - 1
+        s = inside - nodes[piece]
+        out, power = 0.0, 1.0
+        for c in self._coefs:  # the _piece_sum order, elementwise
+            out = out + c[piece] * power
+            power = power * s
         out = np.where(x > bp[-1], self.values[-1] + self._end_slope * (x - bp[-1]), out)
         return out if out.ndim else float(out)
 

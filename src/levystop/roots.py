@@ -20,10 +20,9 @@ convex in k, so the root is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import copysign, exp, inf, isnan, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketFailure, DomainError, NoPositiveRoot, SolverError
 from .model import Family, Model
@@ -134,11 +133,11 @@ def solve_k1(model: Model) -> RootResult:
         return RootResult(lo, lo, hi, flo, 0)
     if fhi <= 0.0:
         return RootResult(hi, lo, hi, fhi, 0)
-    k1, info = _brentq(f, lo, hi)
+    k1, iterations = _brentq(f, lo, hi)
     resid = f(k1)
     if abs(resid) > 1e-12 * _eq_scale(model, k1):
         raise SolverError(f"root residual {resid:.3g} above tolerance")
-    return RootResult(k1, lo, hi, resid, int(info.iterations))
+    return RootResult(k1, lo, hi, resid, iterations)
 
 
 def _solve_zero_discount(model: Model) -> RootResult:
@@ -154,15 +153,67 @@ def _solve_zero_discount(model: Model) -> RootResult:
             break
     else:
         raise NoPositiveRoot("no strictly positive root found at r = 0")
-    k1, info = _brentq(f, lo, hi)
-    return RootResult(k1, 0.0, hi, f(k1), int(info.iterations))
+    k1, iterations = _brentq(f, lo, hi)
+    return RootResult(k1, 0.0, hi, f(k1), iterations)
 
 
-def _brentq(f, lo: float, hi: float):
-    try:
-        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, full_output=True)
-    except (ValueError, RuntimeError) as exc:  # a NaN equation value, or no convergence
-        raise SolverError(f"root search failed: {exc}") from exc
+# Brent's stopping rule: |x - root| <= _XTOL + _RTOL |x|; _RTOL is 4 eps, rounded up
+_XTOL, _RTOL = 1e-15, 8.9e-16
+
+
+def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
+    """Root of f in [xa, xb] and the iteration count, by Brent's method
+    (Brent 1973, ch. 4). A line-for-line port of scipy's brentq.c, so root
+    and count equal scipy.optimize.brentq's at _XTOL and _RTOL bit for bit;
+    an endpoint root counts 0 iterations. A NaN value, a bracket without a
+    sign change and running out of iterations raise SolverError."""
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if isnan(fx):
+            raise SolverError(f"root search failed: The function value at x={x} is NaN; "
+                              "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if copysign(1.0, fpre) == copysign(1.0, fcur):
+        raise SolverError("root search failed: f(a) and f(b) must have different signs")
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and copysign(1.0, fpre) != copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to inf or nan: never a short step
+                stry = inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverError(f"root search failed: Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from math import exp, isfinite
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoFiniteThreshold, SolverError
 from .model import Family, Model, Payoff, TabulatedPayoff, validate
@@ -136,6 +135,9 @@ def _solve_tabulated(model: Model, payoff: TabulatedPayoff, k1: float) -> tuple[
     if best in (0, len(grid) - 1):
         x_star = grid[best]
     else:
+        # imported here: scipy.optimize costs a cold start about 0.2 s, and
+        # only a tabulated payoff needs it
+        from scipy.optimize import minimize_scalar
         try:
             res = minimize_scalar(lambda x: -ratio(x), bracket=(lo, grid[best], hi),
                                   method="golden", options={"xtol": 1e-10})

@@ -422,6 +422,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--grid"), ("sweep", "--range"), ("simulate", "--grid")])
+    @pytest.mark.parametrize("n", [10 ** 12, 10 ** 19], ids=["7TiB", "above-intp"])
+    def test_oversized_range_is_invalid_input(self, capsys, cfg_file, command, flag, n):
+        # 10**12 points need 7.3 TiB, so the allocation fails at once; 10**19
+        # is more elements than any numpy array holds
+        extra = {"solve": ["--csv", "-"], "sweep": ["--param", "sigma"],
+                 "simulate": ["--x", "1.0", "--n", "100"]}[command]
+        code, out, err = run_cli(capsys, command, "--config", cfg_file(FIG2_CFG),
+                                 *extra, f"{flag}=1:2:{n}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: range of {n} points is too large: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["root", "--out"], ["solve", "--csv"], ["reproduce", "--target", "table1", "--out"]],
+        ids=["root-out", "solve-csv", "reproduce-out"])
+    def test_unwritable_output_is_invalid_input(self, capsys, cfg_file, tmp_path, argv):
+        config = [] if argv[0] == "reproduce" else ["--config", cfg_file(FIG2_CFG)]
+        target = tmp_path / "missing" / "out"
+        code, out, err = run_cli(capsys, argv[0], *config, *argv[1:], str(target))
+        assert code == 2
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert str(target) in err
+        assert not target.parent.exists()
+
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):
         # exponential marks reuse the gamma law's maths, not its message
@@ -661,10 +688,17 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k1"] == pytest.approx(0.6295591279614878, abs=1e-9)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about half of a cold start; the CLI must not need it
-        code = "import sys, levystop.cli; print('scipy.stats' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code],
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats"])
+    def test_cold_start_leaves_module_unloaded(self, tmp_path, module):
+        # each costs a cold start 0.1-0.5 s; neither importing the CLI nor a
+        # root run on the README config needs it
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps(FIG2_CFG))
+        code = ("import sys, levystop.cli\n"
+                f"print({module!r} in sys.modules)\n"
+                "code = levystop.cli.main(['root', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                f"print(code, {module!r} in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "root.json")],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "0", "False"]

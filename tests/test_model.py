@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from levystop import (
     BadJumpSupport,
@@ -260,6 +261,14 @@ def tabulated_payoffs(draw):
     return TabulatedPayoff(tuple(bp), tuple(vals))
 
 
+def reference_spline(g: TabulatedPayoff) -> PchipInterpolator:
+    """scipy's PCHIP through the same nodes: the reference TabulatedPayoff
+    reproduces, bit for bit."""
+    with np.errstate(over="ignore"):  # a subnormal secant overflows the harmonic mean
+        return PchipInterpolator(np.asarray(g.breakpoints), np.asarray(g.values),
+                                 extrapolate=False)
+
+
 class TestTabulatedScalarPath:
     """A float argument skips numpy; the result must be the spline's, bit for bit."""
 
@@ -268,10 +277,11 @@ class TestTabulatedScalarPath:
            d=st.floats(1e-9, 10.0))
     def test_bitwise_equal_to_spline(self, g, u, d):
         bp = g.breakpoints
+        spline = reference_spline(g)
         inside = [a + u * (b - a) for a, b in zip(bp, bp[1:])]
-        deriv = g._spline.derivative()
+        deriv = spline.derivative()
         for x in inside + list(bp):
-            assert payoff_eval(g, x) == float(g._spline(x))
+            assert payoff_eval(g, x) == float(spline(x))
         for x in inside + list(bp) + [bp[0] - d, bp[-1] + d]:
             value = payoff_eval(g, x)
             assert type(value) is float
@@ -279,26 +289,98 @@ class TestTabulatedScalarPath:
         for x in inside + list(bp[:-1]):
             assert g.deriv(x) == float(deriv(x))
             assert g.deriv(x) == deriv(np.array([x]))[0]
-        assert payoff_eval(g, bp[0] - d) == float(g._spline(bp[0]))
+        assert payoff_eval(g, bp[0] - d) == float(spline(bp[0]))
         assert g.deriv(bp[0] - d) == 0.0
-        assert g.deriv(bp[-1] + d) == g.deriv(bp[-1]) == g._end_slope
+        assert g.deriv(bp[-1] + d) == g.deriv(bp[-1]) == g._end_slope == float(deriv(bp[-1]))
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(g=tabulated_payoffs())
     def test_cached_break_even_matches_bisection(self, g):
         # the array-path bisection break_even ran on every call before it was cached
+        spline = reference_spline(g)
         bp, vals = g.breakpoints, g.values
         idx = max(i for i, v in enumerate(vals) if v <= 0.0)
         lo, hi = bp[idx], bp[idx + 1]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if g._spline(mid) <= 0.0:
+            if spline(mid) <= 0.0:
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= 1e-12 * max(1.0, abs(hi)):
                 break
         assert break_even(g) == 0.5 * (lo + hi)
+
+
+@st.composite
+def pchip_tables(draw):
+    """Nondecreasing tables that cross zero, over nine decades of scale:
+    2 breakpoints up to 64, flat pieces, and steps so small that the
+    secant is subnormal."""
+    n = draw(st.one_of(st.just(2), st.integers(3, 8), st.integers(9, 64)))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    step = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(5e-324, 1e-300))
+    steps = draw(st.lists(step, min_size=n - 1, max_size=n - 1))
+    bp = [draw(st.floats(-10.0, 10.0)) * scale]
+    vals = [0.0]
+    for gap, rise in zip(gaps, steps):
+        bp.append(bp[-1] + gap * scale)
+        vals.append(vals[-1] + rise)
+    crossing = vals[draw(st.integers(0, n - 2))]
+    vals = [(v - crossing) * scale for v in vals]
+    assume(all(b2 > b1 for b1, b2 in zip(bp, bp[1:])) and vals[-1] > 0.0)
+    return tuple(bp), tuple(vals)
+
+
+class TestPchipAgainstScipy:
+    """TabulatedPayoff builds its pieces itself; scipy's PchipInterpolator
+    through the same nodes is the reference, compared with ==."""
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(table=pchip_tables(), u=st.floats(0.0, 1.0, exclude_max=True),
+           d=st.floats(1e-9, 10.0))
+    def test_coefficients_and_values_equal(self, table, u, d):
+        g = TabulatedPayoff(*table)
+        spline = reference_spline(g)
+        deriv = spline.derivative()
+        bp = g.breakpoints
+        assert np.array_equal(np.array([p[1] for p in g._pieces]).T[::-1], spline.c)
+        assert np.array_equal(np.array([p[2] for p in g._pieces]).T[::-1], deriv.c)
+        assert np.array_equal(g._coefs[::-1], spline.c)
+        inside = [a + u * (b - a) for a, b in zip(bp, bp[1:])]
+        xs = np.array(inside + list(bp))
+        assert np.array_equal(payoff_eval(g, xs), spline(xs))
+        assert [payoff_eval(g, x) for x in xs.tolist()] == spline(xs).tolist()
+        outside = np.array([bp[0] - d, bp[-1] + d])
+        assert np.array_equal(payoff_eval(g, outside),
+                              [float(spline(bp[0])),
+                               g.values[-1] + float(deriv(bp[-1])) * (outside[1] - bp[-1])])
+        left = xs[xs < bp[-1]]
+        assert [g.deriv(x) for x in left.tolist()] == deriv(left).tolist()
+
+    @pytest.mark.parametrize("bp,vals", [
+        ((0.0, 1.0), (-1e308, 1e308)),
+        ((0.0, 1.0, 2.0), (-1e308, 0.0, 1e308)),
+        ((-1e308, 0.0, 1e308), (-1.0, 0.0, 1.0)),
+        ((0.0, 5e-324, 1e-323, 3.0), (-1.0, 0.0, 1.0, 2.0)),
+        ((-1e308, 1e308), (-1e308, 1e308)),
+        ((-1e308, 1e308, 1.7e308), (-1e308, 1e308, 1.7e308)),
+        ((-1e308, 1e308, 1.7e308), (-1.0, 0.0, 1.0)),
+    ])
+    def test_overflowing_tables_match_scipy(self, bp, vals):
+        # secants or spans overflow: the slopes are not finite, and both
+        # raise, or a NaN secant sets them to 0, and both build NaN pieces
+        try:
+            with np.errstate(all="ignore"):
+                spline = PchipInterpolator(np.asarray(bp), np.asarray(vals))
+        except ValueError as ref:
+            with pytest.raises(BadPayoff) as exc:
+                TabulatedPayoff(bp, vals)
+            assert str(exc.value) == f"tabulated payoff cannot be interpolated: {ref}"
+        else:
+            assert np.array_equal(TabulatedPayoff(bp, vals)._coefs[::-1], spline.c,
+                                  equal_nan=True)
 
 
 class TestPayoffFiniteness:

@@ -6,22 +6,29 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from levystop import (
     BetaJumps,
     DomainError,
+    ExponentialJumps,
     Family,
     GammaJumps,
+    InvalidModel,
+    LevyStopError,
     Model,
     PointMassJumps,
+    SolverError,
+    TabulatedJumps,
     char_eq,
     continuous_root,
     psi,
     solve_k1,
 )
 
+from levystop import roots
 from conftest import FIG2_K1, TABLE1_K1, fig2_model, fig3_model, table1_model, table2_model
 
 
@@ -247,3 +254,108 @@ class TestBracketProperty:
         m = Model(Family.GEOMETRIC, 0.03, 0.15, lam, PointMassJumps(z), 0.05)
         res = solve_k1(m)
         assert res.bracket_low <= res.k1 <= res.bracket_high
+
+
+def scipy_brentq(f, lo: float, hi: float) -> tuple[float, int]:
+    """scipy's brentq at the tolerances roots._brentq uses, its errors
+    mapped as roots._brentq maps them: the reference."""
+    try:
+        k1, info = brentq(f, lo, hi, xtol=roots._XTOL, rtol=roots._RTOL, full_output=True)
+    except (ValueError, RuntimeError) as exc:
+        raise SolverError(f"root search failed: {exc}") from exc
+    return k1, info.iterations
+
+
+def tabulated_jumps(max_node: float):
+    def build(nodes, weights):
+        total = sum(weights)
+        return TabulatedJumps(tuple(nodes), tuple(w / total for w in weights))
+
+    return st.integers(1, 4).flatmap(lambda n: st.builds(
+        build, st.lists(st.floats(0.0, max_node), min_size=n, max_size=n),
+        st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+
+
+JUMP_LAWS = {
+    Family.ARITHMETIC: st.one_of(
+        st.builds(GammaJumps, st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        st.builds(ExponentialJumps, st.floats(0.2, 5.0)),
+        st.builds(BetaJumps, st.floats(0.3, 5.0), st.floats(0.3, 8.0)),
+        st.builds(PointMassJumps, st.floats(0.01, 2.0)),
+        tabulated_jumps(2.0),
+    ),
+    Family.GEOMETRIC: st.one_of(
+        st.builds(BetaJumps, st.floats(0.3, 5.0), st.floats(0.3, 8.0)),
+        st.builds(PointMassJumps, st.floats(0.01, 0.95)),
+        tabulated_jumps(0.95),
+    ),
+}
+
+
+@st.composite
+def jump_models(draw):
+    """Both families, every jump law of each, and r = 0 about a quarter of the time."""
+    family = draw(st.sampled_from(list(Family)))
+    try:
+        return Model(family, drift=draw(st.floats(-0.05, 0.1)),
+                     volatility=draw(st.floats(0.02, 0.5)),
+                     jump_intensity=draw(st.floats(0.01, 0.5)),
+                     jump_dist=draw(JUMP_LAWS[family]),
+                     discount=draw(st.one_of(st.just(0.0), st.floats(0.005, 0.2),
+                                             st.floats(0.005, 0.2), st.floats(0.005, 0.2))),
+                     jump_scale=draw(st.floats(0.2, 2.0)) if family is Family.ARITHMETIC else 1.0)
+    except InvalidModel:
+        assume(False)
+
+
+class TestBrentAgainstScipy:
+    """roots._brentq ports scipy's brentq; scipy itself is the reference."""
+
+    @staticmethod
+    def outcome(model, brent):
+        """solve_k1's result with the given Brent solver, or the error it raises."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "_brentq", brent)
+            try:
+                return solve_k1(model)
+            except LevyStopError as exc:
+                return type(exc), str(exc)
+
+    @given(model=jump_models())
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_root_and_iterations_equal(self, model):
+        ours = self.outcome(model, roots._brentq)
+        ref = self.outcome(model, scipy_brentq)
+        if isinstance(ref, roots.RootResult):
+            assert ours.k1 == ref.k1
+            assert ours.iterations == ref.iterations
+        assert ours == ref
+
+    def test_reference_runs_on_most_models(self):
+        # the comparison above is vacuous where solve_k1 never calls Brent
+        calls = []
+
+        def counting(f, lo, hi):
+            calls.append(1)
+            return scipy_brentq(f, lo, hi)
+
+        @given(model=jump_models())
+        @settings(max_examples=100, deadline=None, database=None)
+        def run(model):
+            self.outcome(model, counting)
+
+        run()
+        assert len(calls) >= 50
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0),
+        (lambda x: x - 3.0, 0.0, 1.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+    ], ids=["nan", "no-sign-change", "slow"])
+    def test_failures_raise_solver_error_with_scipy_text(self, f, lo, hi):
+        maxiter = 3
+        with pytest.raises((ValueError, RuntimeError)) as ref:
+            brentq(f, lo, hi, xtol=roots._XTOL, rtol=roots._RTOL, maxiter=maxiter)
+        with pytest.raises(SolverError) as exc:
+            roots._brentq(f, lo, hi, maxiter=maxiter)
+        assert str(exc.value) == f"root search failed: {ref.value}"
