@@ -71,11 +71,14 @@ def _write(out: str, newline: str | None, write) -> None:
         raise InvalidModel(f"cannot write output: {exc}") from None
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _json_text(payload: dict) -> str:
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or infinity: an overflow upstream
         raise SolverError(f"result is not finite: {exc}") from None
+
+
+def _emit_text(text: str, out: str | None) -> None:
     if out:
         _write(out, None, lambda fh: fh.write(text + "\n"))
     else:
@@ -124,14 +127,14 @@ def _problem(args) -> tuple[Model, Payoff]:
 def cmd_root(args) -> int:
     model, payoff = _read_config(args.config)
     result = solve_k1(model)
-    _emit_json({
+    _emit_text(_json_text({
         "model": model_to_config(model, payoff),
         "k1": result.k1,
         "bracket_low": result.bracket_low,
         "bracket_high": result.bracket_high,
         "residual": result.residual,
         "iterations": result.iterations,
-    }, args.out)
+    }), args.out)
     return 0
 
 
@@ -162,11 +165,16 @@ def cmd_solve(args) -> int:
         payload["x"] = args.x
         payload["value"] = float(value_fn(sol, args.x))
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
-    _emit_json(payload, args.out)
+    text = _json_text(payload)
     if args.csv:
         # csv writes each Python float as its repr
         rows = np.column_stack((report.grid, report.v_low, report.v, report.v_high)).tolist()
-        _csv_out(["x", "v_low", "v", "v_high"], rows, None if args.csv == "-" else args.csv)
+        write_csv = functools.partial(_csv_out, ["x", "v_low", "v", "v_high"], rows)
+        if args.csv != "-":  # files before stdout: a failed write leaves stdout empty
+            write_csv(args.csv)
+    _emit_text(text, args.out)
+    if args.csv == "-":
+        write_csv(None)
     return 0
 
 
@@ -239,7 +247,7 @@ def cmd_simulate(args) -> int:
                 for y, e in zip(result.thresholds, result.estimates)
             ],
         }
-        _emit_json(payload, args.out)
+        _emit_text(_json_text(payload), args.out)
         if args.do_assert and abs(result.best_y - sol.x_star) > spacing:
             print("statistical contract violated: best_y beyond one grid step",
                   file=sys.stderr)
@@ -269,7 +277,7 @@ def cmd_simulate(args) -> int:
         "target_analytic": target,
         "z_score": z,
     }
-    _emit_json(payload, args.out)
+    _emit_text(_json_text(payload), args.out)
     if args.do_assert and abs(est.mean - target) > 3.0 * est.stderr + est.truncation_bound:
         print("statistical contract violated: estimate beyond 3 stderr + truncation",
               file=sys.stderr)

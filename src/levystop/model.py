@@ -22,8 +22,8 @@ Each type carries its own maths. A jump law has support, unit_marks(),
 mean(), sample(gen, size) and laplace(s) = E[e^{-sZ}]; laws with marks
 inside [0, 1) also have power(k) = E[(1-Z)^k] and log_mean() =
 E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x) (the right-hand
-g') and break_even() (x0); one whose g/psi has a closed-form maximizer
-also has threshold(k1, family) -> (x*, multiplier), see levystop.stopping.
+g'), break_even() (x0) and threshold(k1, family) -> (x*, multiplier,
+unimodal), the maximizer of g/psi, see levystop.stopping.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .errors import (
     InvalidModel,
     NoFiniteThreshold,
     NonPositiveVolatility,
+    SolverError,
     ZeroDiscountForThreshold,
 )
 
@@ -284,13 +285,13 @@ class CappedCall:
     def break_even(self) -> float:
         return self.I
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float | None]:
+    def threshold(self, k1: float, family: Family) -> tuple[float, float | None, bool]:
         K, I = self.K, self.I
         if family is Family.ARITHMETIC:
-            return (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None
+            return (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None, True
         if k1 >= K / (K - I):
-            return k1 * I / (k1 - 1.0), k1 / (k1 - 1.0)
-        return K, None
+            return k1 * I / (k1 - 1.0), k1 / (k1 - 1.0), True
+        return K, None, True
 
 
 @dataclass(frozen=True)
@@ -319,13 +320,13 @@ class PowerCall:
     def break_even(self) -> float:
         return (self.K / self.a) ** (1.0 / self.b)
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float]:
+    def threshold(self, k1: float, family: Family) -> tuple[float, float, bool]:
         a, b, K = self.a, self.b, self.K
         if k1 <= b:
             raise NoFiniteThreshold(
                 f"power payoff growth b = {b} is not dominated: k1 = {k1:.6g} <= b"
             )
-        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b)
+        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b), True
 
 
 def _sign(v: float) -> float:
@@ -412,6 +413,8 @@ class TabulatedPayoff:
         if not all(map(math.isfinite, slopes)):  # slopes overflow on extreme tables
             raise BadPayoff("tabulated payoff cannot be interpolated: "
                             "`dydx` must contain only finite values.")
+        if not math.isfinite(bp[-1] - bp[0]):
+            raise BadPayoff("tabulated payoff breakpoints must span a finite interval")
         pieces = []
         for x0, x1, y0, y1, d0, d1 in zip(bp, bp[1:], vals, vals[1:], slopes, slopes[1:]):
             dx = x1 - x0
@@ -419,8 +422,11 @@ class TabulatedPayoff:
             t = (d0 + d1 - 2 * secant) / dx
             c2, c3 = (secant - d0) / dx - t, t / dx
             pieces.append((x0, (y0, d0, c2, c3), (d0, 2.0 * c2, 3.0 * c3)))
+        coefs = np.array([p[1] for p in pieces]).T.copy()
+        if not np.all(np.isfinite(coefs)):  # a steep rise over a subnormal interval
+            raise BadPayoff("tabulated payoff cannot be interpolated: its cubic pieces overflow")
         object.__setattr__(self, "_pieces", tuple(pieces))
-        object.__setattr__(self, "_coefs", np.array([p[1] for p in pieces]).T.copy())
+        object.__setattr__(self, "_coefs", coefs)
         object.__setattr__(self, "_end_slope", self._piece_sum(bp[-1], 2))
         # bisection to 1e-12 on the segment where g turns positive (the
         # last nonpositive node is never the last node: vals[-1] > 0)
@@ -478,6 +484,54 @@ class TabulatedPayoff:
 
     def break_even(self) -> float:
         return self._break_even
+
+    def threshold(self, k1: float, family: Family) -> tuple[float, None, bool]:
+        """The exact maximizer of g/psi over (x0, inf), and whether it is the
+        only local maximum: the best of the breakpoints above x0, the roots of
+        each piece's first-order cubic g' - k1 g (geometric: x g' - k1 g, with
+        g a cubic in s = x - b) and the linear tail's root, compared on
+        log g - k1 x (or - k1 ln x); ties go to the largest point."""
+        bp, x0, geometric = self.breakpoints, self._break_even, family is Family.GEOMETRIC
+        v, m, end = self.values[-1], self._end_slope, bp[-1]
+        if geometric and m > 0 and (k1 < 1 or k1 == 1 and v <= m * end):
+            raise NoFiniteThreshold("g/psi keeps increasing; sup not attained")
+        points, signs = [], []  # candidates; slope signs between them, in order
+        for (b, (c0, c1, c2, c3), _), hi in zip(self._pieces, bp[1:]):
+            if hi <= x0:
+                continue
+            if geometric:
+                foc = (c3 * (3.0 - k1), c2 * (2.0 - k1) + 3.0 * b * c3,
+                       c1 * (1.0 - k1) + 2.0 * b * c2, b * c1 - k1 * c0)
+            else:
+                foc = (-k1 * c3, 3.0 * c3 - k1 * c2, 2.0 * c2 - k1 * c1, c1 - k1 * c0)
+            # a complex pair contributes its real part: a spare candidate
+            # that covers a double root which rounding moved off the real line
+            roots, lo = b + np.roots(foc).real, max(b, x0)
+            ends = np.concatenate(([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi]))
+            signs += np.sign(np.polyval(foc, 0.5 * (ends[:-1] + ends[1:]) - b)).tolist()
+            points += ends[1:].tolist()
+        if m > 0 and not geometric:
+            tail = end + 1.0 / k1 - v / m
+        elif m > 0 and k1 > 1:
+            tail = k1 * (v - m * end) / (m * (1.0 - k1))
+        else:
+            tail = end  # no tail root: g/psi falls past the last breakpoint
+        if tail > end:
+            points.append(tail)
+            signs.append(1.0)
+        signs.append(-1.0)  # g/psi falls beyond the last candidate
+
+        xs = np.array(points)
+        g = self.eval(xs)
+        log_ratio = np.full(len(xs), -np.inf)
+        pos = g > 0
+        log_ratio[pos] = np.log(g[pos]) - k1 * (np.log(xs[pos]) if geometric else xs[pos])
+        best = len(xs) - 1 - int(np.argmax(log_ratio[::-1]))
+        if not g[best] > 0:
+            raise SolverError("tabulated threshold search ended at a nonpositive payoff")
+        signs = [s for s in signs if s]
+        peaks = sum(a > 0 > b for a, b in zip(signs, signs[1:]))
+        return float(xs[best]), None, peaks <= 1
 
 
 Payoff = CappedCall | PowerCall | TabulatedPayoff

@@ -445,6 +445,7 @@ class TestExitCodes:
         target = tmp_path / "missing" / "out"
         code, out, err = run_cli(capsys, argv[0], *config, *argv[1:], str(target))
         assert code == 2
+        assert out == ""
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert str(target) in err
         assert not target.parent.exists()
@@ -647,7 +648,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 509
+        assert len(records) == 510
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}
@@ -665,7 +666,9 @@ class TestStderrOutsidePytest:
         (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 5e-324, "d": 5.0}}), 3),
         (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
             "breakpoints": [-1e308, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}}), 2),
-    ], ids=["beta-tiny-c", "tabulated-huge-span"])
+        (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
+            "breakpoints": [-1e308, 1e308, 1.7e308], "values": [-1.0, 0.0, 1.0]}}), 2),
+    ], ids=["beta-tiny-c", "tabulated-huge-span", "tabulated-overflowing-span"])
     def test_one_stderr_line(self, tmp_path, cfg, expected):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(cfg))
@@ -690,15 +693,19 @@ class TestInstalledScript:
 
     @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats"])
     def test_cold_start_leaves_module_unloaded(self, tmp_path, module):
-        # each costs a cold start 0.1-0.5 s; neither importing the CLI nor a
-        # root run on the README config needs it
-        cfg = tmp_path / "m.json"
+        # each costs a cold start 0.1-0.5 s; neither importing the CLI, nor a
+        # root run on the README config, nor a tabulated-payoff solve needs it
+        cfg, tab = tmp_path / "m.json", tmp_path / "tab.json"
         cfg.write_text(json.dumps(FIG2_CFG))
+        tab.write_text(json.dumps(dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
+            "breakpoints": [0.0, 1.0, 2.0, 3.0], "values": [-1.0, 0.0, 0.8, 1.0]}})))
         code = ("import sys, levystop.cli\n"
                 f"print({module!r} in sys.modules)\n"
-                "code = levystop.cli.main(['root', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-                f"print(code, {module!r} in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "root.json")],
+                "for cfg, command in zip(sys.argv[1:3], ('root', 'solve')):\n"
+                "    code = levystop.cli.main([command, '--config', cfg, '--out', sys.argv[3]])\n"
+                f"    print(code, {module!r} in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tab),
+                               str(tmp_path / "out.json")],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "0", "False"]
+        assert proc.stdout.split() == ["False", "0", "False", "0", "False"]

@@ -370,17 +370,25 @@ class TestPchipAgainstScipy:
     ])
     def test_overflowing_tables_match_scipy(self, bp, vals):
         # secants or spans overflow: the slopes are not finite, and both
-        # raise, or a NaN secant sets them to 0, and both build NaN pieces
+        # raise, or a NaN secant sets them to 0, where scipy builds NaN or
+        # zero pieces and TabulatedPayoff refuses the infinite span
         try:
             with np.errstate(all="ignore"):
-                spline = PchipInterpolator(np.asarray(bp), np.asarray(vals))
+                PchipInterpolator(np.asarray(bp), np.asarray(vals))
         except ValueError as ref:
             with pytest.raises(BadPayoff) as exc:
                 TabulatedPayoff(bp, vals)
             assert str(exc.value) == f"tabulated payoff cannot be interpolated: {ref}"
         else:
-            assert np.array_equal(TabulatedPayoff(bp, vals)._coefs[::-1], spline.c,
-                                  equal_nan=True)
+            assert not np.isfinite(bp[-1] - bp[0])
+            with pytest.raises(BadPayoff, match="span a finite interval"):
+                TabulatedPayoff(bp, vals)
+
+    def test_overflowing_pieces_are_bad_payoff(self):
+        # finite slopes, but a steep rise over a subnormal interval overflows
+        # the cubic coefficients, so g would be NaN on that piece
+        with pytest.raises(BadPayoff, match="cubic pieces overflow"):
+            TabulatedPayoff((-1.0, 0.0, 1e-300, 1.0), (-1.0, 0.0, 1.0, 2.0))
 
 
 class TestPayoffFiniteness:

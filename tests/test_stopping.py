@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levystop import (
@@ -15,6 +17,7 @@ from levystop import (
     TabulatedPayoff,
     ZeroDiscountForThreshold,
     payoff_eval,
+    policy_value,
     psi,
     solve_k1,
     solve_threshold,
@@ -141,6 +144,80 @@ class TestPowerGeometric:
         assert low_exp.x_star > mid.x_star > high_exp.x_star
 
 
+def mp_log_ratio(payoff, k1, geometric, x):
+    """log g(x) - k1 x (or - k1 ln x) in 30 digits, from the float pieces."""
+    with mpmath.workdps(30):
+        bp, x = payoff.breakpoints, mpmath.mpf(x)
+        if x > bp[-1]:
+            g = mpmath.mpf(payoff.values[-1]) + mpmath.mpf(payoff.deriv(bp[-1])) * (x - bp[-1])
+        else:
+            b, coefs, _ = payoff._pieces[min(bisect_right(bp, x), len(bp) - 1) - 1]
+            g = mpmath.polyval([mpmath.mpf(c) for c in coefs[::-1]], x - b)
+        if g <= 0:
+            return -mpmath.inf
+        return mpmath.log(g) - k1 * (mpmath.log(x) if geometric else x)
+
+
+def mp_maximum(payoff, k1, geometric):
+    """sup of mp_log_ratio over (x0, inf): 65 float samples on each piece and
+    on a tail segment past the tail's maximizer, then a 30-digit golden
+    section around every sample no lower than its neighbours."""
+    bp, x0 = payoff.breakpoints, payoff.break_even()
+    end = bp[-1] + (2.0 * bp[-1] / (k1 - 1.0) if geometric else 2.0 / k1)
+    knots = [x0] + [b for b in bp if b > x0] + [end]
+    xs = np.unique(np.concatenate([np.linspace(a, b, 65) for a, b in zip(knots, knots[1:])]))
+    g = payoff.eval(xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(g > 0, np.log(g) - k1 * (np.log(xs) if geometric else xs), -np.inf)
+    padded = np.concatenate(([-np.inf], f, [-np.inf]))
+    peaks = np.flatnonzero((f > -np.inf) & (f >= padded[:-2]) & (f >= padded[2:]))
+    best = -mpmath.inf
+    with mpmath.workdps(30):
+        ratio = lambda x: mp_log_ratio(payoff, k1, geometric, x)
+        shrink = (mpmath.sqrt(5) - 1) / 2
+        for i in peaks:
+            a, b = mpmath.mpf(xs[max(i - 1, 0)]), mpmath.mpf(xs[min(i + 1, len(xs) - 1)])
+            for _ in range(60):  # the bracket shrinks 1e12-fold
+                c, d = b - shrink * (b - a), a + shrink * (b - a)
+                if ratio(c) >= ratio(d):
+                    b = d
+                else:
+                    a = c
+            best = max(best, ratio(xs[i]), ratio((a + b) / 2))
+    return best
+
+
+@st.composite
+def tabulated_problems(draw):
+    """(family, k1, payoff): random monotone tables with wide and narrow
+    pieces, and two-peak tables whose narrow and broad peaks of g/psi
+    differ by at most 1%."""
+    family = draw(st.sampled_from(Family))
+    geometric = family is Family.GEOMETRIC
+    k1 = draw(st.floats(1.05, 6.0) if geometric else st.floats(0.01, 5.0))
+    if draw(st.booleans()):
+        left = 1.0 + 10.0 ** draw(st.floats(-4.0, -1.0))  # top of the narrow rise
+        far = draw(st.floats(3.0, 40.0))  # where the broad peak starts
+        rise = (far / left) ** k1 if geometric else math.exp(k1 * (far - left))
+        top = rise * (1.0 + draw(st.floats(-0.01, 0.01)))
+        assume(top > 1.0)
+        bp = (0.5, 1.0, left, far, far * (1.0 + 1e-6), far + 5.0)
+        vals = (-1.0, 0.0, 1.0, 1.0, top, top * (1.0 + 1e-9))
+        return family, k1, TabulatedPayoff(bp, vals)
+    n = draw(st.integers(3, 9))
+    gap = st.one_of(st.floats(1e-2, 3.0), st.floats(-5.0, -2.0).map(lambda e: 10.0 ** e))
+    step = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    bp = [draw(st.floats(0.1, 2.0) if geometric else st.floats(-5.0, 5.0))]
+    vals = [0.0]
+    for _ in range(n - 1):
+        bp.append(bp[-1] + draw(gap))
+        vals.append(vals[-1] + draw(step))
+    crossing = vals[draw(st.integers(0, n - 2))]
+    vals = [v - crossing for v in vals]
+    assume(all(b2 > b1 for b1, b2 in zip(bp, bp[1:])) and vals[-1] > 0.0)
+    return family, k1, TabulatedPayoff(tuple(bp), tuple(vals))
+
+
 class TestTabulated:
     def scan_oracle(self, model, payoff, k1, lo, hi):
         """Dense scan plus golden refinement, independent of the solver."""
@@ -181,14 +258,42 @@ class TestTabulated:
         want = self.scan_oracle(fig2, payoff, sol.k1, 1.0, 20.0)
         assert sol.x_star == pytest.approx(want, abs=1e-6)
 
+    def test_narrow_peak_beats_broad_one(self):
+        # g/psi peaks at 1.001 and, 0.1% lower, at 40.0001: a scan whose step
+        # exceeds the narrow rise misses the better peak
+        m = Model(Family.ARITHMETIC, drift=0.04, volatility=0.3, jump_intensity=0.0,
+                  jump_dist=None, discount=0.002)
+        payoff = TabulatedPayoff((0.0, 1.0, 1.001, 40.0, 40.0001, 45.0),
+                                 (-1.0, 0.0, 1.0, 1.0, 6.36, 6.3600001))
+        sol = solve_threshold(m, payoff)
+        assert sol.x_star == pytest.approx(1.001, abs=1e-6)
+        assert not sol.ratio_unimodal
+        value = value_fn(sol, 0.5)
+        assert value == pytest.approx(0.976500, abs=5e-7)
+        est = policy_value(m, payoff, 0.5, sol.x_star, 200_000, seed=2)
+        assert abs(est.mean - value) <= 4.0 * est.stderr
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(problem=tabulated_problems())
+    def test_no_worse_than_mpmath_maximum(self, problem):
+        family, k1, payoff = problem
+        geometric = family is Family.GEOMETRIC
+        x_star, multiplier, _ = payoff.threshold(k1, family)
+        assert multiplier is None
+        assert x_star > payoff.break_even()
+        best = mp_maximum(payoff, k1, geometric)
+        assert mp_log_ratio(payoff, k1, geometric, x_star) >= best - 1e-12
+
     def test_undominated_tail_raises(self):
-        # arithmetic: ratio of a linear tail to e^{k1 x} always peaks; use
-        # r = tiny so k1 is huge? No: undominated needs the geometric family
-        # with k1 < 1 and a linear tail.
+        # a rising linear tail outgrows x^k1 when k1 < 1, so g/psi has no maximum
         m = fig3_model(sigma=0.25)  # k1 < 1
         payoff = TabulatedPayoff((0.5, 1.0, 1.5), (-0.5, 0.0, 0.5))
         with pytest.raises(NoFiniteThreshold):
             solve_threshold(m, payoff)
+        # g/psi falls at the last breakpoint and peaks near 1.01 before it
+        late = TabulatedPayoff((0.5, 1.0, 1.01, 1.5, 3.0), (-0.5, 0.0, 5.0, 5.2, 5.8))
+        with pytest.raises(NoFiniteThreshold):
+            solve_threshold(m, late)
 
 
 class TestValueFunction:

@@ -8,12 +8,13 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (509 requests):
+The corpus (510 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
-  - solve --grid, a capped-call override, all six reproduce targets at
-    --precision 2 and full, and two error cases (exit 2 and exit 3);
+  - solve --grid, a capped-call override, a two-peak tabulated payoff,
+    all six reproduce targets at --precision 2 and full, and two error
+    cases (exit 2 and exit 3);
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
     barrier, and --grid from below every level, then --grid from a start
@@ -36,6 +37,11 @@ SEEDS = range(6)
 TARGETS = ("table1", "table2", "table3", "figure1", "figure2", "figure3")
 SIM_GRID = {"arithmetic": "1.0:3.0:5", "geometric": "2.0:2.8:5"}
 SIM_INSIDE = {"arithmetic": "1.75", "geometric": "2.3"}  # between two SIM_GRID levels
+# g/psi peaks at 1.001 and, 0.1% lower, at 40.0001: a narrow peak beside a broad one
+TWO_PEAK = {"family": "arithmetic", "drift": 0.04, "volatility": 0.3, "lambda": 0.0, "r": 0.002,
+            "payoff": {"kind": "tabulated", "params": {
+                "breakpoints": [0.0, 1.0, 1.001, 40.0, 40.0001, 45.0],
+                "values": [-1.0, 0.0, 1.0, 1.0, 6.36, 6.3600001]}}}
 
 
 def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
@@ -58,6 +64,7 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
         ("readme solve grid", readme, ["solve", "--grid", "0.5:3.0:11"]),
         ("table1 capped override", problems.TABLE1_CONFIG,
          ["solve", "--x=0.5", "--payoff", "capped", "--K", "2", "--I", "1"]),
+        ("two-peak tabulated", TWO_PEAK, ["solve", "--x=0.5"]),
     ]
     out += [(f"reproduce {t} {p}", None, ["reproduce", "--target", t, "--precision", p])
             for t in TARGETS for p in ("2", "full")]
