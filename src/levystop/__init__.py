@@ -36,12 +36,10 @@ from .errors import (
 from .mc import (
     GridSearchResult,
     MCEstimate,
-    PathResult,
     default_horizon,
     estimate_laplace,
     first_passage_times,
     policy_value,
-    simulate_to_threshold,
     threshold_grid_search,
 )
 from .model import (
@@ -56,7 +54,6 @@ from .model import (
     PowerCall,
     TabulatedJumps,
     TabulatedPayoff,
-    break_even,
     model_from_config,
     model_to_config,
     payoff_eval,
@@ -64,6 +61,5 @@ from .model import (
 )
 from .roots import RootResult, char_eq, continuous_root, psi, solve_k1
 from .stopping import ThresholdSolution, solve_threshold, value_fn
-from .transforms import laplace_transform, power_transform
 
 __version__ = "0.1.0"

@@ -125,13 +125,11 @@ def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> Sa
 
     if grid is None:
         grid = _default_grid(model, payoff, sol_high.x_star)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if model.family is Family.GEOMETRIC:
         grid = grid[grid >= 0.0]
 
-    v = np.atleast_1d(value_fn(sol, grid))
-    v_low = np.atleast_1d(value_fn(sol_low, grid))
-    v_high = np.atleast_1d(value_fn(sol_high, grid))
+    v, v_low, v_high = (value_fn(s, grid) for s in (sol, sol_low, sol_high))
     worst = float(np.max(np.maximum(v_low - v, v - v_high), initial=-np.inf))
     if worst > 1e-10:
         raise SolverError(f"sandwich ordering violated by {worst:.3g}")

@@ -26,7 +26,7 @@ from . import bounds, mc, reproduce
 from .errors import InvalidModel, SolverError
 from .model import _PAYOFF_KINDS, Model, Payoff, _build, model_from_config, model_to_config
 from .roots import psi_ratio, solve_k1
-from .stopping import solve_threshold, value_fn
+from .stopping import solve_threshold, stop_value, value_fn
 
 UNCHECKED = [
     "payoff nonnegativity at jump landings below break-even is assumed, not certified",
@@ -163,7 +163,7 @@ def cmd_solve(args) -> int:
     }
     if args.x is not None:
         payload["x"] = args.x
-        payload["value"] = float(value_fn(sol, args.x))
+        payload["value"] = value_fn(sol, args.x)
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
     text = _json_text(payload)
     if args.csv:
@@ -259,9 +259,7 @@ def cmd_simulate(args) -> int:
     if payoff is not None:
         est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
                               args.horizon)
-        # at or above the barrier the policy stops at once and is worth g(x)
-        g_stop = payoff.eval(max(args.x, args.y))
-        target = g_stop * psi_ratio(model, root.k1, args.x, args.y)
+        target = stop_value(model, payoff, root.k1, args.x, args.y)
     else:
         est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
                                   args.horizon)

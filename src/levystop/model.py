@@ -381,7 +381,8 @@ class TabulatedPayoff:
     ascending power coefficients of g and g' (scipy's CubicHermiteSpline
     and its derivative, bit for bit), which eval and deriv sum for a
     float x; the same g coefficients as a (4, n-1) array for array x; the
-    terminal slope and the break-even point.
+    terminal slope, PCHIP's last node slope (exactly 0 where the shape
+    rule clips it, so a table can end flat); and the break-even point.
     """
 
     breakpoints: tuple[float, ...]
@@ -427,7 +428,7 @@ class TabulatedPayoff:
             raise BadPayoff("tabulated payoff cannot be interpolated: its cubic pieces overflow")
         object.__setattr__(self, "_pieces", tuple(pieces))
         object.__setattr__(self, "_coefs", coefs)
-        object.__setattr__(self, "_end_slope", self._piece_sum(bp[-1], 2))
+        object.__setattr__(self, "_end_slope", slopes[-1])
         # bisection to 1e-12 on the segment where g turns positive (the
         # last nonpositive node is never the last node: vals[-1] > 0)
         idx = max(i for i, v in enumerate(vals) if v <= 0.0)

@@ -82,7 +82,7 @@ def figure2() -> dict[str, np.ndarray]:
     report = sandwich(_figure_model(0.1), payoff, grid=np.linspace(0.0, 3.0, 301))
     return {
         "x": report.grid,
-        "g": np.atleast_1d(payoff.eval(report.grid)),
+        "g": payoff.eval(report.grid),
         "v": report.v,
         "v_r": report.v_high,
         "v_r_lambda": report.v_low,

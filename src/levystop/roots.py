@@ -230,11 +230,9 @@ def psi(model: Model, k: float, x: float) -> float:
 
 
 def psi_ratio(model: Model, k: float, x, y: float):
-    """psi(x)/psi(y) = e^{k(x - y)} or (x/y)^k, 1 at or above y; vectorized
-    over x below y. A float x is evaluated with math, an array with numpy."""
-    arithmetic = model.family is Family.ARITHMETIC
-    if isinstance(x, np.ndarray):
-        return np.exp(k * (x - y)) if arithmetic else np.power(x / y, k)
-    if x >= y:
-        return 1.0
-    return exp(k * (x - y)) if arithmetic else (x / y) ** k
+    """psi(x)/psi(y) clipped at y, e^{k(min(x, y) - y)} or (min(x, y)/y)^k: exactly
+    1 at and above y. One numpy expression, so a float, a 0-d array and each
+    element of an array give the same bits; a float for scalar x."""
+    x = np.minimum(x, y)
+    out = np.exp(k * (x - y)) if model.family is Family.ARITHMETIC else np.power(x / y, k)
+    return out if out.ndim else float(out)

@@ -33,7 +33,7 @@ from .errors import DomainError, NoFiniteThreshold, SolverError
 from .model import Family, Model, Payoff, validate
 from .roots import psi_ratio, solve_k1
 
-__all__ = ["ThresholdSolution", "solve_threshold", "value_fn"]
+__all__ = ["ThresholdSolution", "solve_threshold", "stop_value", "value_fn"]
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,15 @@ def _slope_sign(model: Model, payoff: Payoff, k1: float, x: float) -> float:
     return payoff.deriv(x) - payoff.eval(x) * k1
 
 
-def value_fn(solution: ThresholdSolution, x):
-    """V(x); vectorized over x; g(x) in the stopping region, scaled psi below."""
-    model, k1, x_star = solution.model, solution.k1, solution.x_star
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if model.family is Family.GEOMETRIC and np.any(arr < 0):
-        raise DomainError("geometric state must be nonnegative")
-    out = np.array(solution.payoff.eval(arr), dtype=float)
-    below = arr < x_star
-    if np.any(below):
-        out[below] = solution.value_at_star * psi_ratio(model, k1, arr[below], x_star)
-    return float(out[0]) if scalar else out
+def stop_value(model: Model, payoff: Payoff, k1: float, x, y: float):
+    """g(max(x, y)) psi(x)/psi(y): the value of stopping at the first passage
+    over y, started at x; g(x) at or above y. Vectorized over x."""
+    return payoff.eval(np.maximum(x, y)) * psi_ratio(model, k1, x, y)
 
+
+def value_fn(solution: ThresholdSolution, x):
+    """V(x), the stop-at-x* value: g(x) in the stopping region, g(x*)
+    psi(x)/psi(x*) below. A float for scalar x, an array otherwise."""
+    if solution.model.family is Family.GEOMETRIC and np.any(np.asarray(x) < 0):
+        raise DomainError("geometric state must be nonnegative")
+    return stop_value(solution.model, solution.payoff, solution.k1, x, solution.x_star)

@@ -68,6 +68,13 @@ class TestSandwich:
         # negative states are dropped for geometric dynamics
         np.testing.assert_array_equal(rep.grid, [0.5, 1.0, 2.0])
 
+    def test_scalar_grid_gives_1d_arrays(self, fig2, fig2_payoff, capped):
+        for model, payoff, x in ((fig2, fig2_payoff, 1.0), (table1_model(), capped, 0.5)):
+            rep = sandwich(model, payoff, grid=x)
+            for column in (rep.grid, rep.v_low, rep.v, rep.v_high):
+                assert isinstance(column, np.ndarray) and column.shape == (1,)
+            assert rep.v[0] == value_fn(rep.solution, x)
+
     def test_value_matches_solution(self, fig2, fig2_payoff):
         rep = sandwich(fig2, fig2_payoff)
         np.testing.assert_allclose(rep.v, value_fn(rep.solution, rep.grid), rtol=0)

@@ -302,6 +302,28 @@ class TestSimulate:
         assert data["mean"] == data["target_analytic"] == 2.0
         assert data["z_score"] == 0.0
 
+    @pytest.mark.parametrize("cfg", [
+        FIG2_CFG,
+        dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 3.0, "I": 1.0}}),
+    ], ids=["readme", "table1-capped"])
+    def test_target_at_threshold_is_solve_value(self, capsys, cfg_file, cfg):
+        # the target is the stop-at-y value g(max(x, y)) psi(x)/psi(y), which at
+        # y = x* is V(x): the same digits as solve's value, above x* too
+        path = cfg_file(cfg)
+        _, out, _ = run_cli(capsys, "solve", "--config", path)
+        y = repr(json.loads(out)["x_star"])
+        geometric = cfg["family"] == "geometric"
+        lo, hi = (0.0, 1.2 * float(y)) if geometric else (float(y) - 5.0, float(y) + 1.0)
+        differ = []
+        for x in map(repr, np.random.default_rng(7).uniform(lo, hi, 400).tolist()):
+            _, out, _ = run_cli(capsys, "solve", "--config", path, f"--x={x}")
+            value = json.loads(out)["value"]
+            _, out, _ = run_cli(capsys, "simulate", "--config", path, "--x", x, "--y", y,
+                                "--n", "2")
+            if json.loads(out)["target_analytic"] != value:
+                differ.append(x)
+        assert differ == []
+
     def test_needs_target(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "simulate", "--config", cfg_file(TABLE1_CFG),
                                "--x", "0.0")
@@ -648,7 +670,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 510
+        assert len(records) == 513
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}

@@ -21,12 +21,12 @@ from levystop import (
     payoff_eval,
     policy_value,
     psi,
-    simulate_to_threshold,
     solve_k1,
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import CHUNK, _chunk_stream, _engine_setup, _gap_end, _jump_shift, _passage
+from levystop.mc import (CHUNK, _chunk_stream, _engine_setup, _gap_end, _jump_shift, _passage,
+                         simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 

@@ -23,12 +23,12 @@ from levystop import (
     PowerCall,
     TabulatedJumps,
     TabulatedPayoff,
-    break_even,
     model_from_config,
     model_to_config,
     payoff_eval,
     validate,
 )
+from levystop.model import _pchip_slopes, break_even
 
 from conftest import fig2_model, table1_model
 
@@ -291,7 +291,8 @@ class TestTabulatedScalarPath:
             assert g.deriv(x) == deriv(np.array([x]))[0]
         assert payoff_eval(g, bp[0] - d) == float(spline(bp[0]))
         assert g.deriv(bp[0] - d) == 0.0
-        assert g.deriv(bp[-1] + d) == g.deriv(bp[-1]) == g._end_slope == float(deriv(bp[-1]))
+        end_slope = _pchip_slopes(bp, g.values)[-1]  # the node slope, not the cubic's
+        assert g.deriv(bp[-1] + d) == g.deriv(bp[-1]) == g._end_slope == end_slope
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(g=tabulated_payoffs())
@@ -355,7 +356,8 @@ class TestPchipAgainstScipy:
         outside = np.array([bp[0] - d, bp[-1] + d])
         assert np.array_equal(payoff_eval(g, outside),
                               [float(spline(bp[0])),
-                               g.values[-1] + float(deriv(bp[-1])) * (outside[1] - bp[-1])])
+                               g.values[-1] + g._end_slope * (outside[1] - bp[-1])])
+        assert g._end_slope == _pchip_slopes(bp, g.values)[-1]
         left = xs[xs < bp[-1]]
         assert [g.deriv(x) for x in left.tolist()] == deriv(left).tolist()
 

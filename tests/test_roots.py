@@ -5,6 +5,7 @@ import statistics
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -225,6 +226,33 @@ class TestPsi:
             psi(m, 2.0, -1.0)
 
 
+class TestPsiRatio:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(geometric=st.booleans(), k=st.floats(1e-3, 20.0), y=st.floats(0.01, 50.0),
+           us=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20))
+    def test_one_expression_for_float_0d_and_array(self, geometric, k, y, us):
+        m = fig2_model() if geometric else table1_model()
+        xs = [u * y for u in us] if geometric else [y + 10.0 * (u - 1.5) for u in us]
+        vec = roots.psi_ratio(m, k, np.array(xs), y)
+        assert vec.shape == (len(xs),)
+        for x, v in zip(xs, vec.tolist()):
+            out = roots.psi_ratio(m, k, x, y)
+            assert type(out) is float
+            assert out == v == roots.psi_ratio(m, k, np.array(x), y)
+            if x >= y:
+                assert out == 1.0
+            else:
+                ref = (x / y) ** k if geometric else math.exp(k * (x - y))
+                assert out == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("model", [table1_model(), fig2_model()],
+                             ids=["arithmetic", "geometric"])
+    def test_exactly_one_at_and_above_y(self, model):
+        xs = np.array([2.0, 2.0 + 1e-15, 3.0, 1e300])
+        assert roots.psi_ratio(model, 1.7, 2.0, 2.0) == 1.0
+        assert roots.psi_ratio(model, 1.7, xs, 2.0).tolist() == [1.0] * 4
+
+
 class TestBracketProperty:
     @given(sigma=st.floats(0.02, 0.5), mu=st.floats(-0.05, 0.1),
            lam=st.floats(0.0, 0.4), r=st.floats(0.005, 0.12),
@@ -332,7 +360,8 @@ class TestBrentAgainstScipy:
         assert ours == ref
 
     def test_reference_runs_on_most_models(self):
-        # the comparison above is vacuous where solve_k1 never calls Brent
+        # the comparison above is vacuous where solve_k1 never calls Brent;
+        # a fixed example set, so the count is the same on every run
         calls = []
 
         def counting(f, lo, hi):
@@ -340,7 +369,7 @@ class TestBrentAgainstScipy:
             return scipy_brentq(f, lo, hi)
 
         @given(model=jump_models())
-        @settings(max_examples=100, deadline=None, database=None)
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
         def run(model):
             self.outcome(model, counting)
 

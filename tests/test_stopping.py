@@ -23,7 +23,7 @@ from levystop import (
     solve_threshold,
     value_fn,
 )
-from levystop.model import Family, GammaJumps, Model
+from levystop.model import BetaJumps, Family, GammaJumps, Model
 from levystop.stopping import _slope_sign
 
 from conftest import FIG2_K1, fig2_model, fig3_model, table1_model
@@ -272,6 +272,21 @@ class TestTabulated:
         assert value == pytest.approx(0.976500, abs=5e-7)
         est = policy_value(m, payoff, 0.5, sol.x_star, 200_000, seed=2)
         assert abs(est.mean - value) <= 4.0 * est.stderr
+
+    def test_table_ending_flat_has_a_threshold(self):
+        # the three-point end slope is negative, so PCHIP clips it to 0: the
+        # tail is flat and g/psi falls past the table even though k1 < 1
+        m = Model(Family.GEOMETRIC, drift=0.04, volatility=0.1, jump_intensity=0.01,
+                  jump_dist=BetaJumps(1.25, 2.0), discount=0.02)
+        payoff = TabulatedPayoff((0.5, 1.0, 1.01, 1.5), (-0.5, 0.0, 5.0, 5.1))
+        assert payoff._end_slope == 0.0 == payoff.deriv(2.0)
+        assert payoff.eval(10.0) == 5.1
+        sol = solve_threshold(m, payoff)
+        assert sol.k1 < 1.0
+        assert sol.x_star == pytest.approx(1.00999304500033, rel=1e-12)
+        xs = np.linspace(1.0, 20.0, 100_001)[1:]  # g > 0 above x0 = 1
+        scan = np.log(payoff.eval(xs)) - sol.k1 * np.log(xs)
+        assert math.log(sol.value_at_star) - sol.k1 * math.log(sol.x_star) >= scan.max() - 1e-12
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(problem=tabulated_problems())

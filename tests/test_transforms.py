@@ -16,9 +16,8 @@ from levystop import (
     GammaJumps,
     PointMassJumps,
     TabulatedJumps,
-    laplace_transform,
-    power_transform,
 )
+from levystop.transforms import laplace_transform, power_transform
 
 ALL_DISTS = [
     GammaJumps(1.0, 1.0),

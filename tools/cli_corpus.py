@@ -8,13 +8,15 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (510 requests):
+The corpus (513 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
-  - solve --grid, a capped-call override, a two-peak tabulated payoff,
-    all six reproduce targets at --precision 2 and full, and two error
-    cases (exit 2 and exit 3);
+  - solve --grid, a capped-call override, a two-peak tabulated payoff, a
+    tabulated payoff whose PCHIP tail is flat, and on the README config
+    solve --x=0.429 beside simulate --x 0.429 --y x* (its target_analytic
+    is solve's value), all six reproduce targets at --precision 2 and
+    full, and two error cases (exit 2 and exit 3);
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
     barrier, and --grid from below every level, then --grid from a start
@@ -42,6 +44,12 @@ TWO_PEAK = {"family": "arithmetic", "drift": 0.04, "volatility": 0.3, "lambda": 
             "payoff": {"kind": "tabulated", "params": {
                 "breakpoints": [0.0, 1.0, 1.001, 40.0, 40.0001, 45.0],
                 "values": [-1.0, 0.0, 1.0, 1.0, 6.36, 6.3600001]}}}
+# PCHIP clips the end slope to 0, so the tail is flat and g/psi has a maximum though k1 < 1
+FLAT_END = {"family": "geometric", "drift": 0.04, "volatility": 0.1, "lambda": 0.01,
+            "jump_dist": {"kind": "beta", "params": {"c": 1.25, "d": 2.0}}, "r": 0.02,
+            "payoff": {"kind": "tabulated", "params": {
+                "breakpoints": [0.5, 1.0, 1.01, 1.5], "values": [-0.5, 0.0, 5.0, 5.1]}}}
+README_X_STAR = "2.3886163117354204"  # solve's x_star on the README config
 
 
 def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
@@ -65,6 +73,10 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
         ("table1 capped override", problems.TABLE1_CONFIG,
          ["solve", "--x=0.5", "--payoff", "capped", "--K", "2", "--I", "1"]),
         ("two-peak tabulated", TWO_PEAK, ["solve", "--x=0.5"]),
+        ("flat-ending tabulated", FLAT_END, ["solve", "--x=0.8"]),
+        ("readme solve x=0.429", readme, ["solve", "--x=0.429"]),
+        ("readme simulate y=x_star", readme,
+         ["simulate", "--x", "0.429", "--y", README_X_STAR, "--n", "2000", "--seed", "1"]),
     ]
     out += [(f"reproduce {t} {p}", None, ["reproduce", "--target", t, "--precision", p])
             for t in TARGETS for p in ("2", "full")]
