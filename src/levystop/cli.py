@@ -8,13 +8,17 @@
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 statistical contract violation under --assert. JSON goes to stdout
-(or --out); CSV is RFC-4180 with a header row.
+(or --out); CSV is RFC-4180 with a header row. Each subcommand builds
+its output as text and `_emit` writes it: output files are written
+before anything reaches stdout, so a failed write exits 2 with stdout
+empty.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import replace
@@ -63,44 +67,34 @@ def _parse_range(text: str) -> np.ndarray:
         raise InvalidModel(f"range of {n} points is too large: {exc}") from None
 
 
-def _write(out: str, newline: str | None, write) -> None:
-    try:
-        with open(out, "w", newline=newline) as fh:
-            write(fh)
-    except OSError as exc:
-        raise InvalidModel(f"cannot write output: {exc}") from None
-
-
 def _json_text(payload: dict) -> str:
     try:
-        return json.dumps(payload, indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or infinity: an overflow upstream
         raise SolverError(f"result is not finite: {exc}") from None
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        _write(out, None, lambda fh: fh.write(text + "\n"))
-    else:
-        print(text)
+def _csv_text(header: list[str], rows, trailer=()) -> str:
+    """RFC-4180 CSV with CRLF line ends; csv writes each Python float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    for line in trailer:
+        buf.write(f"# {line}\r\n")
+    return buf.getvalue()
 
 
-def _csv_out(header: list[str], rows, out: str | None, trailer: list[str] | None = None) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        for line in trailer or []:
-            fh.write(f"# {line}\r\n")
-
-    if out:
-        _write(out, "", write)
-    else:
-        write(sys.stdout)
-
-
-def _fmt(value: float, precision: str) -> str:
-    return f"{value:.2f}" if precision == "2" else repr(float(value))
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None (or empty)."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidModel(f"cannot write output: {exc}") from None
 
 
 def _problem(args) -> tuple[Model, Payoff]:
@@ -127,7 +121,7 @@ def _problem(args) -> tuple[Model, Payoff]:
 def cmd_root(args) -> int:
     model, payoff = _read_config(args.config)
     result = solve_k1(model)
-    _emit_text(_json_text({
+    _emit(_json_text({
         "model": model_to_config(model, payoff),
         "k1": result.k1,
         "bracket_low": result.bracket_low,
@@ -167,32 +161,26 @@ def cmd_solve(args) -> int:
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
     text = _json_text(payload)
     if args.csv:
-        # csv writes each Python float as its repr
         rows = np.column_stack((report.grid, report.v_low, report.v, report.v_high)).tolist()
-        write_csv = functools.partial(_csv_out, ["x", "v_low", "v", "v_high"], rows)
+        grid_csv = _csv_text(["x", "v_low", "v", "v_high"], rows)
         if args.csv != "-":  # files before stdout: a failed write leaves stdout empty
-            write_csv(args.csv)
-    _emit_text(text, args.out)
+            _emit(grid_csv, args.csv)
+    _emit(text, args.out)
     if args.csv == "-":
-        write_csv(None)
+        _emit(grid_csv, None)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    target = args.target
-    if target in ("table1", "table2", "table3"):
-        values = reproduce.table(target)
+    if args.target.startswith("table"):
         header = ["lambda"] + [f"{s:.2f}" for s in reproduce.SIGMAS]
-        rows = []
-        for lam, row in zip(reproduce.LAMBDAS, values):
-            rows.append([f"{lam:.1f}"] + [_fmt(v, args.precision) for v in row])
-        _csv_out(header, rows, args.out)
-        return 0
-    builders = {"figure1": reproduce.figure1, "figure2": reproduce.figure2,
-                "figure3": reproduce.figure3}
-    columns = builders[target]()
-    names = list(columns)
-    _csv_out(names, np.column_stack([columns[n] for n in names]).tolist(), args.out)
+        rows = [[f"{lam:.1f}"] + (row if args.precision == "full" else [f"{v:.2f}" for v in row])
+                for lam, row in zip(reproduce.LAMBDAS, reproduce.table(args.target).tolist())]
+    else:  # figure1..3: one column per dict entry
+        columns = getattr(reproduce, args.target)()
+        header = list(columns)
+        rows = np.column_stack(list(columns.values())).tolist()
+    _emit(_csv_text(header, rows), args.out)
     return 0
 
 
@@ -200,28 +188,24 @@ def cmd_sweep(args) -> int:
     model, payoff = _problem(args)
     values = _parse_range(args.range)
     rows = []
-    k1s, xs = [], []
     name = "volatility" if args.param == "sigma" else "jump_intensity"
     for v in values.tolist():
         m = replace(model, **{name: v})
-        root = solve_k1(m)
-        sol = solve_threshold(m, payoff, root.k1)
-        k1s.append(root.k1)
-        xs.append(sol.x_star)
-        cells = (v, root.k1, sol.x_star, bounds.adjusted_discount(m, root.k1),
-                 bounds.certainty_growth(m, root.k1))
-        rows.append([repr(float(c)) for c in cells])
+        k1 = solve_k1(m).k1
+        cells = (v, k1, solve_threshold(m, payoff, k1).x_star, bounds.adjusted_discount(m, k1),
+                 bounds.certainty_growth(m, k1))
+        rows.append([float(c) for c in cells])
 
-    def direction(seq) -> str:
-        diffs = np.diff(seq)
+    def direction(column: int) -> str:
+        diffs = np.diff([row[column] for row in rows])
         if np.all(diffs < 0):
             return "strictly_decreasing"
         if np.all(diffs > 0):
             return "strictly_increasing"
         return "not_monotone"
 
-    trailer = [f"k1 {direction(k1s)}", f"x_star {direction(xs)}"]
-    _csv_out([args.param, "k1", "x_star", "theta_star", "mu_hat"], rows, args.out, trailer)
+    trailer = [f"k1 {direction(1)}", f"x_star {direction(2)}"]
+    _emit(_csv_text([args.param, "k1", "x_star", "theta_star", "mu_hat"], rows, trailer), args.out)
     return 0
 
 
@@ -247,7 +231,7 @@ def cmd_simulate(args) -> int:
                 for y, e in zip(result.thresholds, result.estimates)
             ],
         }
-        _emit_text(_json_text(payload), args.out)
+        _emit(_json_text(payload), args.out)
         if args.do_assert and abs(result.best_y - sol.x_star) > spacing:
             print("statistical contract violated: best_y beyond one grid step",
                   file=sys.stderr)
@@ -275,7 +259,7 @@ def cmd_simulate(args) -> int:
         "target_analytic": target,
         "z_score": z,
     }
-    _emit_text(_json_text(payload), args.out)
+    _emit(_json_text(payload), args.out)
     if args.do_assert and abs(est.mean - target) > 3.0 * est.stderr + est.truncation_bound:
         print("statistical contract violated: estimate beyond 3 stderr + truncation",
               file=sys.stderr)

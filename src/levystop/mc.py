@@ -307,7 +307,7 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     policy_value. Ties break toward the largest barrier.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    gvals = np.atleast_1d(np.asarray(payoff.eval(np.maximum(thresholds, x)), dtype=float))
+    gvals = payoff.eval(np.maximum(thresholds, x))
     estimates = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
     means = np.array([e.mean for e in estimates])
     best = len(means) - 1 - int(np.argmax(means[::-1]))

@@ -547,6 +547,41 @@ class TestExitCodes:
         assert "not valid JSON" in err
 
 
+class TestWriter:
+    """An output file holds exactly the bytes stdout gets without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["root"],
+        ["sweep", "--param", "sigma", "--range", "0.05:0.3:4"],
+        ["reproduce", "--target", "table1", "--precision", "2"],
+        ["reproduce", "--target", "table2", "--precision", "full"],
+        ["reproduce", "--target", "figure1"],
+        ["simulate", "--x", "1.0", "--y", "2.0", "--n", "500", "--seed", "3"],
+        ["simulate", "--x", "1.0", "--grid", "2.0:2.8:3", "--n", "500", "--seed", "3"],
+    ], ids=["root", "sweep", "table-2dp", "table-full", "figure", "simulate-y", "simulate-grid"])
+    def test_out_file_matches_stdout(self, capsys, cfg_file, tmp_path, argv):
+        config = [] if argv[0] == "reproduce" else ["--config", cfg_file(FIG2_CFG)]
+        code, printed, err = run_cli(capsys, argv[0], *config, *argv[1:])
+        assert (code, err) == (0, "") and printed
+        target = tmp_path / "out"
+        code, out, err = run_cli(capsys, argv[0], *config, *argv[1:], "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
+
+    def test_solve_csv_file_matches_stdout(self, capsys, cfg_file, tmp_path):
+        argv = ["solve", "--config", cfg_file(FIG2_CFG), "--x", "1.0"]
+        code, printed, err = run_cli(capsys, *argv, "--csv", "-")
+        assert (code, err) == (0, "")
+        grid, payload = tmp_path / "grid.csv", tmp_path / "out.json"
+        code, out, err = run_cli(capsys, *argv, "--csv", str(grid))
+        assert (code, err) == (0, "")
+        assert printed.encode() == out.encode() + grid.read_bytes()
+        assert grid.read_bytes().startswith(b"x,v_low,v,v_high\r\n")
+        code, out, err = run_cli(capsys, *argv, "--csv", str(grid), "--out", str(payload))
+        assert (code, out, err) == (0, "", "")
+        assert printed.encode() == payload.read_bytes() + grid.read_bytes()
+
+
 class TestRepeatedCalls:
     """main() builds its parser once; no call may see another call's options."""
 
