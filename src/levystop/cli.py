@@ -86,8 +86,8 @@ def _csv_text(header: list[str], rows, trailer=()) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout when out is None (or empty)."""
-    if not out:
+    """Write text to the file out, or to stdout when out is None."""
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -97,6 +97,14 @@ def _emit(text: str, out: str | None) -> None:
         raise InvalidModel(f"cannot write output: {exc}") from None
 
 
+def _finite(args, name: str) -> float | None:
+    """The number flag --name, which must be finite when it is given."""
+    value = getattr(args, name)
+    if value is not None and not isfinite(value):
+        raise InvalidModel(f"--{name} must be a finite number, got {value}")
+    return value
+
+
 def _problem(args) -> tuple[Model, Payoff]:
     """The config's model and payoff; --payoff and its flags replace the payoff."""
     model, payoff = _read_config(args.config)
@@ -104,10 +112,7 @@ def _problem(args) -> tuple[Model, Payoff]:
         kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff)
         if kind is None:
             raise InvalidModel(f"--payoff must be capped or power, got {args.payoff!r:.40}")
-        params = {n: getattr(args, n) for n in _OVERRIDE_FLAGS if getattr(args, n) is not None}
-        for name, value in params.items():
-            if not isfinite(value):
-                raise InvalidModel(f"--{name} must be a finite number, got {value}")
+        params = {n: _finite(args, n) for n in _OVERRIDE_FLAGS if getattr(args, n) is not None}
         payoff = _build({"kind": kind, "params": params}, _PAYOFF_KINDS, "payoff override")
     if payoff is None:
         raise InvalidModel(f"{args.command} needs a payoff (config key or --payoff flags)")
@@ -134,6 +139,7 @@ def cmd_root(args) -> int:
 
 def cmd_solve(args) -> int:
     model, payoff = _problem(args)
+    _finite(args, "x")
     grid = _parse_range(args.grid) if args.grid else None
     report = bounds.sandwich(model, payoff, grid=grid)
     sol = report.solution
@@ -160,7 +166,7 @@ def cmd_solve(args) -> int:
         payload["value"] = value_fn(sol, args.x)
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
     text = _json_text(payload)
-    if args.csv:
+    if args.csv is not None:
         rows = np.column_stack((report.grid, report.v_low, report.v, report.v_high)).tolist()
         grid_csv = _csv_text(["x", "v_low", "v", "v_high"], rows)
         if args.csv != "-":  # files before stdout: a failed write leaves stdout empty
@@ -335,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.fn(args)
     except InvalidModel as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a --grid with more levels than memory holds
+        print(f"error: request too large to allocate: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # SolverError, or float overflow on extreme inputs
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ from .model import Family, Model, Payoff
 
 __all__ = [
     "MCEstimate",
-    "PathResult",
     "GridSearchResult",
     "default_horizon",
     "simulate_to_threshold",
@@ -65,15 +64,6 @@ class MCEstimate:
     horizon: float
     truncation_bound: float
     seed: int
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """One simulated path: did it reach y, when, and where it ended."""
-
-    hit: bool
-    tau: float
-    x_at_tau: float
 
 
 @dataclass(frozen=True)
@@ -176,24 +166,21 @@ def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.nda
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float,
-                    levels: np.ndarray, drift: float,
-                    horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Level-major tau matrix (len(levels), n) plus terminal engine-space positions."""
+                    levels: np.ndarray, drift: float, horizon: float) -> np.ndarray:
+    """The level-major passage-time matrix (len(levels), n), inf where not reached."""
     m = len(levels)
     sigma = model.volatility
     lam = model.jump_intensity
     tau = np.full((m, n), np.inf)
     cells = tau.reshape(-1)  # a view: level j, row i is cell j * n + i
-    end = np.full(n, start)
-    gap = np.full(n, horizon)
-    if lam > 0:
-        gap = np.minimum(gen.exponential(1.0 / lam, n), horizon)
+    gap = np.minimum(gen.exponential(1.0 / lam, n), horizon) if lam > 0 else np.full(n, horizon)
 
     # state of the live paths only: row, position, clock, next barrier, gap end
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:hit0] = 0.0
     rows = np.arange(n if hit0 < m else 0)
-    pos, t, k, gap = end[rows], np.zeros(rows.size), np.full(rows.size, hit0), gap[rows]
+    pos, t, k = np.full(rows.size, start), np.zeros(rows.size), np.full(rows.size, hit0)
+    gap = gap[rows]
 
     with np.errstate(divide="ignore", over="ignore"):
         while rows.size:
@@ -216,11 +203,10 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
                 gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
             live = (k < m) & (t < horizon)
             if not live.all():  # compact only when some path finished
-                end[rows[~live]] = pos[~live]
                 keep = np.flatnonzero(live)
                 rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
 
-    return tau, end
+    return tau
 
 
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
@@ -236,28 +222,23 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
         raise InvalidModel("barriers must be strictly increasing")
     if n <= 1:
         raise InvalidModel("need at least 2 paths")
+    if seed < 0:  # SeedSequence takes nonnegative entropy only
+        raise InvalidModel(f"seed must be nonnegative, got {seed}")
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
-    chunks = []
-    for index, lo in enumerate(range(0, n, CHUNK)):
-        size = min(CHUNK, n - lo)
-        gen = _chunk_stream(seed, index)
-        tau, _ = _simulate_chunk(model, gen, size, start, elevels, drift, horizon)
-        chunks.append(tau)
+    chunks = [_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
+                              elevels, drift, horizon)
+              for index, lo in enumerate(range(0, n, CHUNK))]
     return np.concatenate(chunks, axis=1).T
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
-                          rng: np.random.Generator) -> PathResult:
-    """One path, caller-supplied stream. Crossing position is y exactly."""
+                          rng: np.random.Generator) -> float:
+    """One path's passage time over y on a caller-supplied stream; inf when
+    the horizon comes first. A hit lands on y exactly: jumps only go down."""
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, np.asarray([y], dtype=float))
-    tau, end = _simulate_chunk(model, rng, 1, start, elevels, drift, horizon)
-    hit = isfinite(tau[0, 0])
-    if hit:
-        return PathResult(True, float(tau[0, 0]), float(y))
-    x_end = float(np.exp(end[0])) if model.family is Family.GEOMETRIC else float(end[0])
-    return PathResult(False, float("inf"), x_end)
+    return float(_simulate_chunk(model, rng, 1, start, elevels, drift, horizon)[0, 0])
 
 
 def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,

@@ -285,13 +285,15 @@ class CappedCall:
     def break_even(self) -> float:
         return self.I
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float | None, bool]:
+    def threshold(self, k1: float, family: Family) -> tuple[float, float | None, bool, bool]:
         K, I = self.K, self.I
         if family is Family.ARITHMETIC:
-            return (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None, True
-        if k1 >= K / (K - I):
-            return k1 * I / (k1 - 1.0), k1 / (k1 - 1.0), True
-        return K, None, True
+            x, multiplier = (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None
+        elif k1 >= K / (K - I):
+            x, multiplier = k1 * I / (k1 - 1.0), k1 / (k1 - 1.0)
+        else:
+            x, multiplier = K, None
+        return x, multiplier, True, x < K  # smooth fit fails at the cap's kink
 
 
 @dataclass(frozen=True)
@@ -320,13 +322,13 @@ class PowerCall:
     def break_even(self) -> float:
         return (self.K / self.a) ** (1.0 / self.b)
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float, bool]:
+    def threshold(self, k1: float, family: Family) -> tuple[float, float, bool, bool]:
         a, b, K = self.a, self.b, self.K
         if k1 <= b:
             raise NoFiniteThreshold(
                 f"power payoff growth b = {b} is not dominated: k1 = {k1:.6g} <= b"
             )
-        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b), True
+        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b), True, True
 
 
 def _sign(v: float) -> float:
@@ -486,12 +488,13 @@ class TabulatedPayoff:
     def break_even(self) -> float:
         return self._break_even
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, None, bool]:
+    def threshold(self, k1: float, family: Family) -> tuple[float, None, bool, bool]:
         """The exact maximizer of g/psi over (x0, inf), and whether it is the
         only local maximum: the best of the breakpoints above x0, the roots of
         each piece's first-order cubic g' - k1 g (geometric: x g' - k1 g, with
         g a cubic in s = x - b) and the linear tail's root, compared on
-        log g - k1 x (or - k1 ln x); ties go to the largest point."""
+        log g - k1 x (or - k1 ln x); ties go to the largest point. g is C1
+        above x0, so smooth fit holds there."""
         bp, x0, geometric = self.breakpoints, self._break_even, family is Family.GEOMETRIC
         v, m, end = self.values[-1], self._end_slope, bp[-1]
         if geometric and m > 0 and (k1 < 1 or k1 == 1 and v <= m * end):
@@ -532,7 +535,7 @@ class TabulatedPayoff:
             raise SolverError("tabulated threshold search ended at a nonpositive payoff")
         signs = [s for s in signs if s]
         peaks = sum(a > 0 > b for a, b in zip(signs, signs[1:]))
-        return float(xs[best]), None, peaks <= 1
+        return float(xs[best]), None, peaks <= 1, True
 
 
 Payoff = CappedCall | PowerCall | TabulatedPayoff

@@ -10,7 +10,9 @@ and the value function is
 
 Interior optima satisfy g'(x*) psi(x*) = g(x*) psi'(x*); corner optima
 sit at payoff kinks and break smooth fit by exactly
-g(x*) psi'(x*)/psi(x*) - g'(x*+).
+g(x*) psi'(x*)/psi(x*) - g'(x*+). The verdict is exact, not a tolerance
+on that gap: each payoff's threshold method reports whether g has a kink
+at x*, which above the break-even point only a capped call has, at K.
 
 Closed forms (each payoff's threshold method): CappedCall(K, I) on
 arithmetic dynamics stops at I + 1/k1 when k1 >= 1/(K - I) and at the
@@ -47,12 +49,8 @@ class ThresholdSolution:
     value_at_star: float
     multiplier: float | None
     smooth_fit_gap: float
+    smooth_fit: str  # "broken" exactly where g has a kink at x*, else "smooth"
     ratio_unimodal: bool
-
-    @property
-    def smooth_fit(self) -> str:
-        tol = 1e-10 * max(1.0, abs(self.k1 * self.value_at_star))
-        return "smooth" if abs(self.smooth_fit_gap) <= tol else "broken"
 
 
 def solve_threshold(model: Model, payoff: Payoff,
@@ -70,7 +68,7 @@ def solve_threshold(model: Model, payoff: Payoff,
     if not (k1 > 0 and isfinite(k1)):
         raise SolverError(f"threshold needs a positive finite exponent, got {k1}")
 
-    x_star, multiplier, unimodal = payoff.threshold(k1, model.family)
+    x_star, multiplier, unimodal, smooth = payoff.threshold(k1, model.family)
     if not isfinite(x_star):  # e.g. a power payoff whose break-even overflows
         raise NoFiniteThreshold(f"threshold is not finite: x* = {x_star}")
 
@@ -83,6 +81,7 @@ def solve_threshold(model: Model, payoff: Payoff,
         multiplier=multiplier,
         # 0.0 - slope, not -slope: an exact tie gives +0.0
         smooth_fit_gap=0.0 - _slope_sign(model, payoff, k1, x_star),
+        smooth_fit="smooth" if smooth else "broken",
         ratio_unimodal=unimodal,
     )
 

@@ -422,6 +422,7 @@ class TestExitCodes:
         ("--y", "0.5", "--n", "1"),
         ("--y", "2.0", "--x", "-1"),  # geometric states must be positive
         ("--y", "-1", "--x", "3"),  # and barriers, even below the start
+        ("--y", "2.0", "--n", "100", "--seed", "-1"),  # numpy seeds are nonnegative
     ])
     def test_bad_simulation_input(self, capsys, cfg_file, flags):
         code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
@@ -459,18 +460,42 @@ class TestExitCodes:
         assert err.startswith(f"error: range of {n} points is too large: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["root", "--out"], ["solve", "--csv"], ["reproduce", "--target", "table1", "--out"]],
-        ids=["root-out", "solve-csv", "reproduce-out"])
-    def test_unwritable_output_is_invalid_input(self, capsys, cfg_file, tmp_path, argv):
+    @pytest.mark.parametrize("argv, empty", [
+        (["root", "--out"], False), (["solve", "--csv"], False),
+        (["reproduce", "--target", "table1", "--out"], False),
+        (["root", "--out"], True), (["solve", "--csv"], True), (["solve", "--out"], True),
+        (["reproduce", "--target", "table1", "--out"], True)],
+        ids=["root-out", "solve-csv", "reproduce-out",
+             "root-out-empty", "solve-csv-empty", "solve-out-empty", "reproduce-out-empty"])
+    def test_unwritable_output_is_invalid_input(self, capsys, cfg_file, tmp_path, argv, empty):
+        # a path in a missing directory names no writable file, and "" names none at all
         config = [] if argv[0] == "reproduce" else ["--config", cfg_file(FIG2_CFG)]
-        target = tmp_path / "missing" / "out"
-        code, out, err = run_cli(capsys, argv[0], *config, *argv[1:], str(target))
+        target = "" if empty else str(tmp_path / "missing" / "out")
+        code, out, err = run_cli(capsys, argv[0], *config, *argv[1:], target)
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
-        assert str(target) in err
-        assert not target.parent.exists()
+        assert repr(target) in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_state_is_invalid_input(self, capsys, cfg_file, x):
+        code, out, err = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG), f"--x={x}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --x must be a finite number, got {float(x)}\n"
+
+    def test_request_too_large_to_allocate(self, capsys, cfg_file, monkeypatch):
+        # stands in for a --grid too long for memory, without allocating one
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr("levystop.mc._simulate_chunk", no_memory)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
+                                 "--x", "1", "--grid", "2:3:5", "--n", "100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: request too large to allocate: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):

@@ -156,6 +156,16 @@ class TestFirstPassage:
             simulate_to_threshold(fig2, math.nan, 2.0, 10.0,
                                   np.random.Generator(np.random.Philox(0)))
 
+    def test_negative_seed_is_invalid_model(self, fig2, fig2_payoff):
+        # numpy's SeedSequence would raise a bare ValueError; every estimator
+        # reaches first_passage_times, which names the bad seed
+        with pytest.raises(InvalidModel, match="seed must be nonnegative"):
+            estimate_laplace(fig2, 1.0, 2.0, 100, seed=-1)
+        with pytest.raises(InvalidModel, match="seed must be nonnegative"):
+            policy_value(fig2, fig2_payoff, 1.0, 2.0, 100, seed=-1)
+        with pytest.raises(InvalidModel, match="seed must be nonnegative"):
+            threshold_grid_search(fig2, fig2_payoff, 1.0, [2.0, 2.5], 100, seed=-1)
+
     def test_geometric_positivity_guard(self, fig2):
         with pytest.raises(DomainError):
             first_passage_times(fig2, -1.0, [2.0], 100, seed=0)
@@ -189,17 +199,13 @@ class TestFirstPassage:
 class TestSinglePath:
     def test_hit_lands_exactly_on_barrier(self, fig2):
         rng = np.random.Generator(np.random.Philox(1234))
-        res = simulate_to_threshold(fig2, 1.0, 1.3, horizon=300.0, rng=rng)
-        assert res.hit
-        assert res.x_at_tau == 1.3  # no overshoot: upward moves are continuous
-        assert 0.0 < res.tau < 300.0
+        tau = simulate_to_threshold(fig2, 1.0, 1.3, horizon=300.0, rng=rng)
+        assert 0.0 < tau < 300.0
 
     def test_miss_reports_terminal_state(self, fig2):
         rng = np.random.Generator(np.random.Philox(99))
-        res = simulate_to_threshold(fig2, 1.0, 50.0, horizon=1.0, rng=rng)
-        assert not res.hit
-        assert res.tau == float("inf")
-        assert 0.0 < res.x_at_tau < 50.0
+        tau = simulate_to_threshold(fig2, 1.0, 50.0, horizon=1.0, rng=rng)
+        assert tau == float("inf")
 
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_horizon_is_invalid_model(self, fig2, horizon):

@@ -268,6 +268,11 @@ class TestTabulated:
         sol = solve_threshold(m, payoff)
         assert sol.x_star == pytest.approx(1.001, abs=1e-6)
         assert not sol.ratio_unimodal
+        # x* is interior to the steep rise, where g is C1: its rounding gap
+        # of about 5e-10 once read as a broken fit under a tolerance
+        assert 1.0 < sol.x_star < 1.001
+        assert 1e-10 < abs(sol.smooth_fit_gap) < 1e-8
+        assert sol.smooth_fit == "smooth"
         value = value_fn(sol, 0.5)
         assert value == pytest.approx(0.976500, abs=5e-7)
         est = policy_value(m, payoff, 0.5, sol.x_star, 200_000, seed=2)
@@ -293,7 +298,7 @@ class TestTabulated:
     def test_no_worse_than_mpmath_maximum(self, problem):
         family, k1, payoff = problem
         geometric = family is Family.GEOMETRIC
-        x_star, multiplier, _ = payoff.threshold(k1, family)
+        x_star, multiplier, _, _ = payoff.threshold(k1, family)
         assert multiplier is None
         assert x_star > payoff.break_even()
         best = mp_maximum(payoff, k1, geometric)
