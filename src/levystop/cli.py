@@ -238,9 +238,18 @@ def cmd_simulate(args) -> int:
             ],
         }
         _emit(_json_text(payload), args.out)
-        if args.do_assert and abs(result.best_y - sol.x_star) > spacing:
-            print("statistical contract violated: best_y beyond one grid step",
-                  file=sys.stderr)
+        if not args.do_assert:
+            return 0
+        if args.x >= sol.x_star:  # the rule is "stop now": no level may beat g(x)
+            stop_now = payoff.eval(args.x)
+            violated = any(e.mean - stop_now > 3.0 * e.stderr + e.truncation_bound
+                           for e in result.estimates)
+            verdict = "a level beats stopping now beyond 3 stderr + truncation"
+        else:
+            violated = abs(result.best_y - sol.x_star) > spacing
+            verdict = "best_y beyond one grid step"
+        if violated:
+            print(f"statistical contract violated: {verdict}", file=sys.stderr)
             return 4
         return 0
 

@@ -33,8 +33,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .errors import (
     BadJumpSupport,
     BadPayoff,
@@ -133,11 +133,13 @@ class BetaJumps:
 
     c: float
     d: float
+    _at_zero: tuple = field(init=False, repr=False, compare=False)  # power's k-free part
 
     def __post_init__(self) -> None:
         _require_finite("beta jump law", c=self.c, d=self.d)
         if not (self.c > 0 and self.d > 0):
             raise InvalidModel("beta jump law needs c > 0 and d > 0")
+        object.__setattr__(self, "_at_zero", _special.shifted(self.c, self.d, self.d))
 
     support = (0.0, 1.0)
 
@@ -152,27 +154,26 @@ class BetaJumps:
         return gen.beta(self.c, self.d, size)
 
     def laplace(self, s: float) -> float:
-        """E[e^{-sZ}] = 1F1(c; c+d; -s), Kummer's function (DLMF 13.4.1)."""
-        # Kummer's integral form of 1F1, finite for every real s. scipy's
-        # hyp1f1 returns inf or nan for |s| below about 1e-195; there, and up to
-        # |s| = 1e-8, the series through s^2 is exact in double precision
-        c, d = self.c, self.d
-        if abs(s) < 1e-8:
-            return 1.0 - s * c / (c + d) * (1.0 - 0.5 * s * (c + 1.0) / (c + d + 1.0))
-        value = float(special.hyp1f1(c, c + d, -s))
+        """E[e^{-sZ}] = 1F1(c; c+d; -s), Kummer's function (DLMF 13.4.1): for
+        s >= 0 Kummer's transformation e^{-s} 1F1(d; c+d; s) (DLMF 13.2.39), a
+        positive series, or the large-s asymptotic series (DLMF 13.7.2); for
+        s < 0 the direct series (DLMF 13.2.2)."""
+        value = _special.kummer(self.c, self.d, float(s))
         if not math.isfinite(value):
             raise DivergentTransform(f"beta Laplace transform overflowed at s = {s}")
         return value
 
     def power(self, k: float) -> float:
-        """E[(1-Z)^k] = B(c, d+k)/B(c, d), evaluated in log-gamma."""
+        """E[(1-Z)^k] = B(c, d+k)/B(c, d): a log-gamma difference, shifted up by
+        Gamma(z+1) = z Gamma(z) (DLMF 5.5.1) into the Stirling series (DLMF 5.11.1)."""
         if self.d + k <= 0:
             raise DivergentTransform(f"beta power transform diverges at k = {k}")
-        return math.exp(special.betaln(self.c, self.d + k) - special.betaln(self.c, self.d))
+        return _special.beta_power(self.c, self.d, k, self._at_zero)
 
     def log_mean(self) -> float:
-        """E[ln(1-Z)] = digamma(d) - digamma(c+d)."""
-        return float(special.digamma(self.d) - special.digamma(self.c + self.d))
+        """E[ln(1-Z)] = digamma(d) - digamma(c+d): the recurrence (DLMF 5.5.2),
+        then the asymptotic series (DLMF 5.11.2)."""
+        return _special.digamma_diff(self.c, self.d)
 
 
 @dataclass(frozen=True)

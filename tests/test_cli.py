@@ -5,9 +5,12 @@ import csv
 import importlib.util
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +364,37 @@ class TestSimulate:
         assert data["best_y"] == 2.4
         assert [p["mean"] for p in data["points"][:3]] == [1.5, 1.5, 1.5]
 
+    def test_grid_from_above_the_threshold_stops_now(self, capsys, cfg_file):
+        # x = 3 > x* = 2.3886 and every level lies below x, so each is worth
+        # g(3) = 2 with zero stderr and the tie goes to 2.9, five steps from x*:
+        # the claim checked is "stop now", not "best_y within one step of x*"
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
+                                 "--x", "3.0", "--grid", "1.5:2.9:15", "--n", "2000",
+                                 "--seed", "1", "--assert")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["best_y"] == 2.9
+        assert {(p["mean"], p["stderr"]) for p in data["points"]} == {(2.0, 0.0)}
+
+    def test_grid_assert_from_above_detects_a_better_level(self, capsys, cfg_file,
+                                                            monkeypatch):
+        # a level whose estimate beats g(x) beyond its 3-sigma bound breaks "stop now"
+        from levystop import mc
+        search = mc.threshold_grid_search
+
+        def inflated(*args, **kwargs):
+            result = search(*args, **kwargs)
+            first, *rest = result.estimates
+            return replace(result, estimates=(replace(first, mean=first.mean + 1.0), *rest))
+        monkeypatch.setattr(mc, "threshold_grid_search", inflated)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
+                                 "--x", "3.0", "--grid", "1.5:2.9:15", "--n", "2000",
+                                 "--seed", "1", "--assert")
+        assert code == 4
+        assert err == ("statistical contract violated: "
+                       "a level beats stopping now beyond 3 stderr + truncation\n")
+        json.loads(out)
+
     def test_grid_needs_payoff(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "simulate", "--config", cfg_file(TABLE1_CFG),
                                "--x", "0.0", "--grid", "1.0:2.0:3")
@@ -533,7 +567,8 @@ class TestExitCodes:
         # the characteristic equation turns NaN inside brentq
         ("root", TABLE1_CFG, "drift", -1e257, 3),
         ("root", FIG2_CFG, "r", 1e308, 3),
-        ("root", FIG2_CFG, "jump_dist", {"kind": "beta", "params": {"c": 5e-324, "d": 5.0}}, 3),
+        # c + d overflows
+        ("root", FIG2_CFG, "jump_dist", {"kind": "beta", "params": {"c": 1e308, "d": 1e308}}, 3),
         # sigma**2 overflows
         ("root", FIG2_CFG, "volatility", 1e308, 3),
         # k1 and its residual come out NaN
@@ -741,16 +776,78 @@ class TestCorpus:
         assert failed == []
 
 
+class TestCorpusDiff:
+    """tools/corpus_diff.py on two small synthetic corpora."""
+
+    K1 = 0.6295591279614878  # TABLE1_CFG's k1 from the package, 2.6 ulp above the exact root
+
+    def corpora(self):
+        def record(name, stdout, argv=("root",), code=0, stderr=""):
+            return {"request": name, "argv": list(argv), "exit": code,
+                    "stdout": stdout, "stderr": stderr}
+        root_argv = ("root", "--config", json.dumps(TABLE1_CFG))
+        sweep = "sigma,k1\r\n0.05,1.5\r\n0.1,2.5\r\n# k1 strictly_increasing\r\n"
+        old = [record("same", '{"k1": 1.0}\n'),
+               record("json", json.dumps({"k1": self.K1, "note": "a"}) + "\n", root_argv),
+               record("csv", sweep),
+               record("failing", "", code=3, stderr="numerical failure: x\n"),
+               record("gone", "")]
+        new = [old[0],
+               record("json", json.dumps({"k1": self.K1 + 2 * math.ulp(self.K1), "note": "a"})
+                      + "\n", root_argv),
+               record("csv", sweep.replace("2.5", "2.0").replace("strictly", "not")),
+               record("failing", '{"k1": 1.0}\n'),
+               record("new", "")]
+        return {r["request"]: r for r in old}, {r["request"]: r for r in new}
+
+    def test_lists_every_moved_field(self):
+        diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")
+        old, new = self.corpora()
+        buf = io.StringIO()
+        assert diff.report(old, new, verdict=False, out=buf) == 1
+        assert buf.getvalue().splitlines() == [
+            "1 identical, 3 moved, 1 added, 1 removed",
+            "moved: json",
+            f"  k1: {self.K1!r} -> {self.K1 + 2 * math.ulp(self.K1)!r}  (rel 3.53e-16)",
+            "moved: csv",
+            "  csv[1].k1: '2.5' -> '2.0'  (rel 0.2)",
+            "  csv#0: 'k1 strictly_increasing' -> 'k1 not_increasing'",
+            "moved: failing",
+            "  exit: 3 -> 0",
+            "  stderr: 'numerical failure: x\\n' -> ''",
+            "  k1: '(missing)' -> 1.0",
+            "added: new",
+            "removed: gone",
+        ]
+        same = io.StringIO()
+        assert diff.report(old, old, verdict=False, out=same) == 0
+        assert same.getvalue() == "5 identical, 0 moved, 0 added, 0 removed\n"
+
+    def test_verdict_counts_ulps_from_the_exact_root(self):
+        diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")
+        old, new = self.corpora()
+        del old["csv"], new["csv"]  # a synthetic sweep has no root to re-solve
+        buf = io.StringIO()
+        diff.report(old, new, verdict=True, out=buf)
+        lines = buf.getvalue().splitlines()
+        verdicts = [line for line in lines if line.startswith("  verdict ")]
+        assert len(verdicts) == 1 and verdicts[0].startswith("  verdict k1: old ")
+        was, now = (float(v) for v in re.findall(r"([-+][0-9.]+) ulp", verdicts[0]))
+        assert was == pytest.approx(2.6, abs=0.05)
+        assert now - was == pytest.approx(2.0, abs=1e-6)
+        assert lines[-1].startswith("verdict: 1 moved k1, worst |error| old ")
+
+
 class TestStderrOutsidePytest:
     """pytest captures warnings; a fresh interpreter shows what a user sees."""
 
     @pytest.mark.parametrize("cfg,expected", [
-        (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 5e-324, "d": 5.0}}), 3),
+        (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 1e308, "d": 1e308}}), 3),
         (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
             "breakpoints": [-1e308, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}}), 2),
         (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
             "breakpoints": [-1e308, 1e308, 1.7e308], "values": [-1.0, 0.0, 1.0]}}), 2),
-    ], ids=["beta-tiny-c", "tabulated-huge-span", "tabulated-overflowing-span"])
+    ], ids=["beta-overflowing-sum", "tabulated-huge-span", "tabulated-overflowing-span"])
     def test_one_stderr_line(self, tmp_path, cfg, expected):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(cfg))
@@ -773,7 +870,8 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k1"] == pytest.approx(0.6295591279614878, abs=1e-9)
 
-    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats"])
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats",
+                                        "scipy.special"])
     def test_cold_start_leaves_module_unloaded(self, tmp_path, module):
         # each costs a cold start 0.1-0.5 s; neither importing the CLI, nor a
         # root run on the README config, nor a tabulated-payoff solve needs it
@@ -791,3 +889,55 @@ class TestInstalledScript:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "0", "False", "0", "False"]
+
+    @pytest.mark.parametrize("family", ["arithmetic", "geometric"])
+    def test_beta_law_runs_without_scipy(self, tmp_path, family):
+        # scipy is a test-only dependency: with its import blocked, root, solve
+        # and simulate run on a Beta-marks config and print what they print with it
+        cfg = tmp_path / "beta.json"
+        cfg.write_text(json.dumps(dict(FIG2_CFG, family=family, payoff={
+            "kind": "capped_call", "params": {"K": 4.0, "I": 1.0}})))
+        commands = [["root"], ["solve", "--x", "1.0"],
+                    ["simulate", "--x", "1.0", "--y", "2.0", "--n", "500", "--seed", "1"]]
+        code = ("import contextlib, io, json, sys\n"
+                "blocked = sys.argv[1] == 'blocked'\n"
+                "if blocked:\n"
+                "    sys.modules['scipy'] = None\n"
+                "import levystop.cli\n"
+                "outs = []\n"
+                "for command in json.loads(sys.argv[3]):\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        code = levystop.cli.main([command[0], '--config', sys.argv[2], *command[1:]])\n"
+                "    outs.append([code, buf.getvalue()])\n"
+                "print(json.dumps([outs, [m for m in sys.modules if m.startswith('scipy')]]))\n")
+        runs = {}
+        for mode in ("blocked", "open"):
+            proc = subprocess.run([sys.executable, "-c", code, mode, str(cfg), json.dumps(commands)],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            runs[mode] = json.loads(proc.stdout)
+        outs, loaded = runs["blocked"]
+        assert [code for code, _ in outs] == [0, 0, 0]
+        assert loaded == ["scipy"]  # the blocking entry itself, nothing below it
+        assert outs == runs["open"][0]
+        assert runs["open"][1] == []  # nor is scipy imported when it is there
+
+    def test_beta_tiny_c_solves_as_no_jumps(self, tmp_path):
+        # Beta(5e-324, 5) marks are 0 in double precision, so E[(1-Z)^k] = 1 and
+        # the root is the jump-free one
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(dict(FIG2_CFG, jump_dist={
+            "kind": "beta", "params": {"c": 5e-324, "d": 5.0}})))
+        no_jumps = tmp_path / "none.json"
+        no_jumps.write_text(json.dumps(dict(FIG2_CFG, jump_dist=None, **{"lambda": 0.0})))
+        k1 = []
+        for path in (cfg, no_jumps):
+            proc = subprocess.run([sys.executable, "-m", "levystop.cli", "root",
+                                   "--config", str(path)],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+            k1.append(json.loads(proc.stdout)["k1"])
+        assert k1[0] == pytest.approx(k1[1], rel=1e-14)

@@ -86,6 +86,13 @@ class TestLaplace:
             want = float(mpmath.hyp1f1(c, c + d, -s))
         assert laplace_transform(BetaJumps(c, d), s) == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_beta_nonfinite_argument(self):
+        dist = BetaJumps(1.25, 5.0)
+        assert laplace_transform(dist, math.inf) == 0.0
+        for s in (-math.inf, math.nan):
+            with pytest.raises(DivergentTransform):
+                laplace_transform(dist, s)
+
     def test_negative_s_allowed_inside_strip(self):
         # marks are subtracted from the state, so negative s shows up for
         # negative exponents; finite strictly above -rate
