@@ -228,6 +228,7 @@ def cmd_simulate(args) -> int:
         spacing = float(grid[1] - grid[0])
         payload = {
             "best_y": result.best_y,
+            "y_fit": result.y_fit,
             "x_star_analytic": sol.x_star,
             "grid_spacing": spacing,
             "seed": args.seed,

@@ -5,10 +5,9 @@ Metwally & Atiya 2002). Jump epochs are Poisson(lambda) and sampled
 exactly. Between them the engine-space path (the state itself, or its
 log for the geometric family) is a Brownian motion with drift c and
 volatility sigma, so its passage time over a level at distance d is
-inverse Gaussian: IG(d/c, d^2/sigma^2) when c > 0. When c < 0 the law
-is defective, the level is reached with probability exp(2cd/sigma^2)
-and then at an IG(d/|c|, d^2/sigma^2) time; when c = 0 the time is
-Levy, d^2/(sigma^2 Z^2).
+inverse Gaussian, IG(d/|c|, d^2/sigma^2), reached only with probability
+exp(2cd/sigma^2) when c < 0, and Levy, d^2/(sigma^2 Z^2), when c = 0.
+One Michael-Schucany-Haas draw (1976) covers all three (see _passage).
 
 Each pass draws, for every live path, the passage time to its next
 barrier. A time inside the gap to the next jump (or the horizon) is the
@@ -22,12 +21,12 @@ and the jump is applied. There is no time step, so the recorded passage
 times carry no discretization error.
 
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
-driven by its own Philox stream keyed (seed, chunk index), and chunk
+driven by its own SFC64 stream keyed (seed, chunk index), and chunk
 results are aggregated in index order. Replays are bit-identical for a
 given seed regardless of how chunks might be scheduled. Each pass draws,
-in an order, sizes and arguments that performance changes keep: passage
-times of every live path (reach coins if c < 0, Levy normals, wald), then
-gap-end draws for the misses, then their jump marks and exponential gaps.
+in an order, sizes and arguments that performance changes keep: one
+normal then one uniform per live path; gap-end draws for the misses;
+then their jump marks and exponential gaps.
 """
 from __future__ import annotations
 
@@ -71,6 +70,7 @@ class GridSearchResult:
     thresholds: tuple[float, ...]
     estimates: tuple[MCEstimate, ...]
     best_y: float
+    y_fit: float | None  # the fitted vertex best_y is nearest to; None on the raw argmax
 
 
 def default_horizon(model: Model) -> float:
@@ -116,29 +116,37 @@ def _jump_shift(model: Model, gen: np.random.Generator, size: int) -> np.ndarray
 
 
 def _chunk_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, index])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, index])))
 
 
 def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np.ndarray:
     """Passage time of c t + sigma W_t over d > 0; inf where it never gets there.
 
-    IG(d/|c|, d^2/s2), reached only with probability exp(2cd/s2) when
-    c < 0. Where |c| d/s2 < 1e-9 the drift moves the law by about that
-    much and the time is taken as Levy, d^2/(s2 Z^2): numpy's wald
-    cancels to zero as |c| d/s2 nears rounding.
+    Michael, Schucany & Haas (1976, Am. Statistician 30:88-90). With
+    a = |c| and nu = s2 Z^2, the roots of (a t - d)^2 = nu t are
+    t_lo = 2d^2/(2ad + nu + sqrt(nu (4ad + nu))) and t_hi = d^2/(a^2 t_lo);
+    IG(d/a, d^2/s2) is t_lo with probability p = d/(d + a t_lo), else t_hi.
+    When c < 0 the level is reached with probability rho = exp(2cd/s2),
+    folded into the same uniform U: t_lo if U < rho p, t_hi if U < rho,
+    else inf. Every term is positive, so nothing cancels as c -> 0, and
+    c = 0 gives p = 1 and t_lo = d^2/nu, the Levy law.
     """
-    if c < 0:  # a coin per row; the reached rows then pass as with drift |c|
-        go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2))
-        tau = np.full(d.size, np.inf)
-        tau[go] = _passage(gen, d[go], -c, s2)
+    a2d = 2.0 * abs(c) * d  # 2ad
+    nu = s2 * gen.standard_normal(d.size) ** 2
+    u = gen.random(d.size)
+    # c = 0 makes t_hi 0/0 or x/0, never chosen; Z = 0 there too makes t_lo = inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = a2d + nu + np.sqrt(nu * (2.0 * a2d + nu))
+        t_lo = 2.0 * d * d / den
+        t_hi = den / (2.0 * c * c)
+    # U < rho p with p = den/(den + 2ad), kept free of division; <= takes
+    # t_lo when den = 0, where t_lo = inf is the Levy time for Z = 0
+    if c < 0:
+        rho = np.exp(-a2d / s2)
+        tau = np.where(u * (den + a2d) <= rho * den, t_lo, t_hi)
+        tau[u >= rho] = np.inf
         return tau
-    levy = c * d < 1e-9 * s2
-    if not levy.any():  # the usual case: one wald call, no index bookkeeping
-        return gen.wald(d / c, d ** 2 / s2)
-    tau = np.empty(d.size)
-    tau[levy] = d[levy] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
-    tau[~levy] = gen.wald(d[~levy] / c, d[~levy] ** 2 / s2)
-    return tau
+    return np.where(u * (den + a2d) <= den, t_lo, t_hi)
 
 
 def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.ndarray,
@@ -241,30 +249,36 @@ def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
     return float(_simulate_chunk(model, rng, 1, start, elevels, drift, horizon)[0, 0])
 
 
+def _discounted(model: Model, tau: np.ndarray) -> np.ndarray:
+    """e^{-r tau}, and 0 where tau = inf (not reached within the horizon)."""
+    reached = np.isfinite(tau)
+    return np.where(reached, np.exp(-model.discount * np.where(reached, tau, 0.0)), 0.0)
+
+
 def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
-             horizon: float | None) -> list[MCEstimate]:
+             horizon: float | None) -> tuple[list[MCEstimate], np.ndarray]:
     """g_j E[e^{-r tau_j}], stopping at the first passage over each ascending
-    barrier, from one shared path set. A barrier at or below x is passed at
-    tau = 0, so its estimate is g_j exactly, with zero standard error."""
+    barrier, from one shared path set, and the level-major passage times.
+    A barrier at or below x is passed at tau = 0, so its estimate is g_j
+    exactly, with zero standard error."""
     tau = first_passage_times(model, x, levels, n, seed, horizon).T  # contiguous level rows
     horizon = _horizon(model, horizon)
     estimates = []
     for j, g in enumerate(gvals):
-        miss = ~np.isfinite(tau[j])  # not reached within the horizon
-        disc = np.where(miss, 0.0, np.exp(-model.discount * np.where(miss, 0.0, tau[j])))
+        disc = _discounted(model, tau[j])
         estimates.append(MCEstimate(mean=g * float(disc.mean()),
                                     stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
                                     n_paths=n, horizon=horizon,
                                     truncation_bound=abs(g) * exp(-model.discount * horizon)
-                                    * float(miss.mean()),
+                                    * float(np.isinf(tau[j]).mean()),
                                     seed=seed))
-    return estimates
+    return estimates, tau
 
 
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
                      horizon: float | None = None) -> MCEstimate:
     """E[e^{-r tau_y}] from x: psi(x)/psi(y) below y, 1 at or above it."""
-    return _stop_at(model, x, [y], [1.0], n, seed, horizon)[0]
+    return _stop_at(model, x, [y], [1.0], n, seed, horizon)[0][0]
 
 
 def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed: int,
@@ -275,7 +289,48 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     barrier is crossed continuously and X_tau = y on every hit. From a
     start at or above y the policy stops at once and is worth g(x).
     """
-    return _stop_at(model, x, [y], [payoff.eval(max(x, y))], n, seed, horizon)[0]
+    return _stop_at(model, x, [y], [payoff.eval(max(x, y))], n, seed, horizon)[0][0]
+
+
+def _fitted_argmax(thresholds: np.ndarray, means: np.ndarray, x: float,
+                   paths) -> tuple[int, float | None]:
+    """The best level's index, and the vertex of the quadratic it was read from.
+
+    A least-squares quadratic through the raw argmax and 2 levels on each
+    side averages the noise of neighbouring estimates, which near the
+    optimum differ by about their paired standard error. The best level
+    is the one of those five nearest the vertex. The raw argmax (ties to
+    the largest level) stands, with no vertex, when it has fewer than 2
+    levels on either side, when any of the five is at or below x (worth
+    g(x) exactly: a flat piece, not a noisy sample of the curve above x),
+    when the fitted curvature is not negative, or when the quadratic
+    misses one of the five means by more than twice the largest paired
+    standard error of a level's difference from the argmax: there the
+    curve's skew over the window, not noise, sets the vertex, and it can
+    be off by more than a level. paths(rows) gives the per-path values
+    behind means[rows].
+    """
+    best = len(means) - 1 - int(np.argmax(means[::-1]))
+    if not (2 <= best < len(means) - 2 and thresholds[best - 2] > x):
+        return best, None
+    rows = slice(best - 2, best + 3)
+    u, v = thresholds[rows] - thresholds[best], means[rows]
+    # least squares on 1, u and u^2 made orthogonal (Gram-Schmidt), in sums:
+    # numpy's lstsq would cost a LAPACK workspace of about 1 MB per process
+    e1 = u - u.mean()
+    e2 = u * u - (u * u).mean()
+    tilt = (e2 * e1).sum() / (e1 * e1).sum()
+    e2 -= tilt * e1
+    lin, curv = (v * e1).sum() / (e1 * e1).sum(), (v * e2).sum() / (e2 * e2).sum()
+    if not curv < 0:
+        return best, None
+    vals = paths(rows)
+    paired_se = float((vals - vals[2]).std(axis=1, ddof=1).max()) / sqrt(vals.shape[1])
+    if np.abs(v - v.mean() - lin * e1 - curv * e2).max() > 2.0 * paired_se:
+        return best, None
+    slope = lin - curv * tilt  # the fit's u coefficient
+    y_fit = float(thresholds[best] - slope / (2.0 * curv))
+    return best - 2 + int(np.argmin(np.abs(thresholds[rows] - y_fit))), y_fit
 
 
 def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n: int,
@@ -284,13 +339,15 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
 
     Shared paths make neighboring estimates strongly positively
     correlated, so the argmax is far more stable than independent runs
-    at the same n. A level at or below x is worth g(x), as in
-    policy_value. Ties break toward the largest barrier.
+    at the same n, and best_y is read from a quadratic fitted around it
+    (see _fitted_argmax). A level at or below x is worth g(x), as in
+    policy_value.
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     gvals = payoff.eval(np.maximum(thresholds, x))
-    estimates = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
-    means = np.array([e.mean for e in estimates])
-    best = len(means) - 1 - int(np.argmax(means[::-1]))
+    estimates, tau = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
+    best, y_fit = _fitted_argmax(thresholds, np.array([e.mean for e in estimates]), x,
+                                 lambda rows: gvals[rows, None] * _discounted(model, tau[rows]))
     return GridSearchResult(thresholds=tuple(float(v) for v in thresholds),
-                            estimates=tuple(estimates), best_y=float(thresholds[best]))
+                            estimates=tuple(estimates), best_y=float(thresholds[best]),
+                            y_fit=y_fit)

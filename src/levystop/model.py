@@ -139,6 +139,8 @@ class BetaJumps:
         _require_finite("beta jump law", c=self.c, d=self.d)
         if not (self.c > 0 and self.d > 0):
             raise InvalidModel("beta jump law needs c > 0 and d > 0")
+        if not math.isfinite(self.c + self.d):  # mean() would read 0 and every transform spin
+            raise InvalidModel("beta jump law c + d must be finite")
         object.__setattr__(self, "_at_zero", _special.shifted(self.c, self.d, self.d))
 
     support = (0.0, 1.0)

@@ -342,7 +342,10 @@ class TestSimulate:
         assert data["x_star_analytic"] == pytest.approx(2.3886163117354204, abs=1e-9)
         assert data["grid_spacing"] == pytest.approx(0.2)
         assert len(data["points"]) == 5
-        assert data["best_y"] in [p["y"] for p in data["points"]]
+        levels = [p["y"] for p in data["points"]]
+        assert data["best_y"] in levels
+        if data["y_fit"] is not None:  # best_y is the level nearest the fitted vertex
+            assert data["best_y"] == min(levels, key=lambda y: abs(y - data["y_fit"]))
 
     def test_grid_assert_detects_misplaced_grid(self, capsys, cfg_file):
         # grid far below the true threshold: best_y cannot be within one step
@@ -362,6 +365,7 @@ class TestSimulate:
         assert code == 0, err
         data = json.loads(out)
         assert data["best_y"] == 2.4
+        assert data["y_fit"] is None  # the best level is passed at time 0: nothing to fit
         assert [p["mean"] for p in data["points"][:3]] == [1.5, 1.5, 1.5]
 
     def test_grid_from_above_the_threshold_stops_now(self, capsys, cfg_file):
@@ -567,8 +571,8 @@ class TestExitCodes:
         # the characteristic equation turns NaN inside brentq
         ("root", TABLE1_CFG, "drift", -1e257, 3),
         ("root", FIG2_CFG, "r", 1e308, 3),
-        # c + d overflows
-        ("root", FIG2_CFG, "jump_dist", {"kind": "beta", "params": {"c": 1e308, "d": 1e308}}, 3),
+        # c + d overflows: rejected with the config
+        ("root", FIG2_CFG, "jump_dist", {"kind": "beta", "params": {"c": 1e308, "d": 1e308}}, 2),
         # sigma**2 overflows
         ("root", FIG2_CFG, "volatility", 1e308, 3),
         # k1 and its residual come out NaN
@@ -842,7 +846,7 @@ class TestStderrOutsidePytest:
     """pytest captures warnings; a fresh interpreter shows what a user sees."""
 
     @pytest.mark.parametrize("cfg,expected", [
-        (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 1e308, "d": 1e308}}), 3),
+        (dict(FIG2_CFG, jump_dist={"kind": "beta", "params": {"c": 1e308, "d": 1e308}}), 2),
         (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
             "breakpoints": [-1e308, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}}), 2),
         (dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import (CHUNK, _chunk_stream, _engine_setup, _gap_end, _jump_shift, _passage,
-                         simulate_to_threshold)
+from levystop.mc import (CHUNK, _chunk_stream, _engine_setup, _fitted_argmax, _gap_end, _jump_shift,
+                         _passage, simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -91,8 +92,9 @@ class TestLaplaceEstimate:
         (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0, 0.3, -1.0),
         # engine drift -0.1 + 0.1 * 1 = 0 exactly: Levy passage
         (Model(Family.ARITHMETIC, -0.1, 0.2, 0.1, ExponentialJumps(1.0), 0.05), 0.0, 0.5, 0.0),
-        # engine drift 0.005 - 0.1^2/2 rounds to about -9e-19, where numpy's
-        # wald cancels to zero: the passage time must come out Levy
+        # engine drift 0.005 - 0.1^2/2 rounds to about -9e-19, where a
+        # difference-form inverse-Gaussian draw cancels to zero: the passage
+        # time must come out Levy
         (Model(Family.GEOMETRIC, 0.005, 0.1, 0.0, None, 0.05), 1.0, 1.5, -1.0),
     ], ids=["negative_engine_drift", "zero_engine_drift", "rounding_engine_drift"])
     def test_nonpositive_engine_drift_matches_analytic(self, model, x, y, drift_sign):
@@ -320,14 +322,21 @@ class TestGridSearch:
         assert res.estimates[0].mean == g * single.mean
 
     def test_shared_paths_are_strongly_coupled(self, fig2):
-        # common random numbers: neighboring estimates move together, so
-        # the difference has far less variance than independent runs
+        # common random numbers: neighboring estimates move together, so the
+        # paired difference spreads far less than independent runs would,
+        # sqrt(a.stderr^2 + b.stderr^2) >= 0.71 (a.stderr + b.stderr)
         payoff = PowerCall(1.0, 1.0, 1.0)
         res = threshold_grid_search(fig2, payoff, 1.0, [2.3, 2.4], 4000, seed=17)
         a, b = res.estimates
-        analytic_gap = 1.4 * (1.0 / 2.4) ** solve_k1(fig2).k1 \
-            - 1.3 * (1.0 / 2.3) ** solve_k1(fig2).k1
-        assert abs((b.mean - a.mean) - analytic_gap) < 0.25 * (a.stderr + b.stderr)
+        tau = first_passage_times(fig2, 1.0, [2.3, 2.4], 4000, seed=17)  # the same paths
+        paired = 1.4 * np.exp(-fig2.discount * tau[:, 1]) - 1.3 * np.exp(-fig2.discount * tau[:, 0])
+        assert paired.mean() == pytest.approx(b.mean - a.mean, rel=1e-9)
+        paired_se = paired.std(ddof=1) / math.sqrt(paired.size)
+        assert paired_se < 0.25 * (a.stderr + b.stderr)
+        k1 = solve_k1(fig2).k1
+        analytic_gap = 1.4 * (1.0 / 2.4) ** k1 - 1.3 * (1.0 / 2.3) ** k1
+        assert abs((b.mean - a.mean) - analytic_gap) <= \
+            4.0 * paired_se + a.truncation_bound + b.truncation_bound
 
     def test_singleton_grid(self, fig2):
         payoff = PowerCall(1.0, 1.0, 1.0)
@@ -354,6 +363,58 @@ class TestGridSearch:
             assert est.stderr == single.stderr == 0.0
         assert res.best_y == 2.4
 
+    @staticmethod
+    def paired(se):
+        """_fitted_argmax's paths: two per level, whose differences from the
+        window's middle level have standard errors up to se."""
+        return lambda rows: np.outer(np.arange(5), [se, -se]) / 2.0
+
+    def test_fit_reads_the_vertex_past_a_noisy_argmax(self):
+        # a concave curve peaking at 0.52 whose level 0.6 drew +0.007 of noise:
+        # the raw argmax is 0.6, the quadratic through 0.4..0.8 peaks near 0.527
+        y = np.round(np.arange(0.0, 1.01, 0.1), 10)
+        means = -(y - 0.52) ** 2
+        means[6] += 0.007
+        assert np.argmax(means) == 6
+        best, y_fit = _fitted_argmax(y, means, -1.0, self.paired(0.005))
+        assert best == 5
+        assert y_fit == pytest.approx(0.5272727272727272, rel=1e-12)
+        # noise-free, the fit is exact
+        exact = _fitted_argmax(y, -(y - 0.52) ** 2, -1.0, self.paired(1e-9))
+        assert exact[1] == pytest.approx(0.52, rel=1e-12)
+
+    def test_misfit_beyond_the_paired_noise_falls_back(self):
+        # a peak steep on the left and flat on the right, as a coarse grid sees
+        # it near a payoff's break-even: the skew, not noise, pulls the vertex
+        # half a step to the flat side, off the best level 0.4
+        y = np.round(np.arange(0.0, 1.01, 0.1), 10)
+        means = np.full(11, -0.01)
+        means[2:7] = [-2.1e-3, -0.2e-3, 0.0, -0.13e-3, -0.4e-3]
+        best, y_fit = _fitted_argmax(y, means, -1.0, self.paired(1e-3))
+        assert (best, y_fit) == (5, pytest.approx(0.4520, abs=1e-4))
+        # residuals up to 3.8e-4 are far beyond paired standard errors of 1e-5
+        assert _fitted_argmax(y, means, -1.0, self.paired(1e-5)) == (4, None)
+
+    @pytest.mark.parametrize("means, x, best", [
+        (-(np.arange(11) / 10 - 0.93) ** 2, -1.0, 9),  # one level above the argmax
+        (-(np.arange(11) / 10 - 0.12) ** 2, -1.0, 1),  # one level below it
+        (np.zeros(11), -1.0, 10),  # flat: ties to the largest level, at the edge
+        (np.array([0, 0, 0, 1, 0, 1.5, 0, 1, 0, 0, 0.0]), -1.0, 5),  # convex fit
+        (-(np.arange(11) / 10 - 0.52) ** 2, 0.5, 5),  # at or below x: stopping now is exact
+        (-(np.arange(11) / 10 - 0.52) ** 2, 0.3, 5),  # a fitted level at x is worth g(x)
+    ], ids=["top_edge", "bottom_edge", "flat", "convex", "at_or_below_start",
+            "window_reaches_start"])
+    def test_fit_falls_back_to_the_raw_argmax(self, means, x, best):
+        y = np.round(np.arange(0.0, 1.01, 0.1), 10)
+        assert _fitted_argmax(y, means, x, self.paired(1.0)) == (best, None)
+
+    def test_best_y_is_the_level_nearest_the_fitted_vertex(self, fig2, fig2_payoff):
+        # 0.2 steps around x* = 2.389: the raw argmax has 2 levels on each side
+        grid = np.linspace(1.6, 3.2, 9)
+        res = threshold_grid_search(fig2, fig2_payoff, 1.0, grid, 20_000, seed=5)
+        assert res.y_fit is not None
+        assert res.best_y == grid[np.argmin(np.abs(grid - res.y_fit))]
+
     def test_ties_break_to_largest(self, fig2):
         # barriers at or below the start all pay g(x) at time zero; the
         # documented tie-break picks the largest maximizer
@@ -366,18 +427,21 @@ class TestGridSearch:
 
 # ---------------------------------------------------------------------------
 # Reference engine: the index-mask pass loop the engine was first written
-# as. Performance work on mc.py must keep every draw of every stream, so
-# the shipped engine must reproduce this one bit for bit.
+# as, drawing its passage times with the Michael-Schucany-Haas sampler on
+# the SFC64 chunk streams. Performance work on mc.py must keep every draw
+# of every stream, so the shipped engine must reproduce this one bit for bit.
 # ---------------------------------------------------------------------------
 
 def _ref_passage(gen, d, c, s2):
-    tau = np.full(d.size, np.inf)
-    go = np.flatnonzero(gen.random(d.size) < np.exp(2.0 * c * d / s2)) if c < 0 else np.arange(d.size)
-    levy = abs(c) * d[go] < 1e-9 * s2
-    tau[go[levy]] = d[go[levy]] ** 2 / (s2 * gen.standard_normal(np.count_nonzero(levy)) ** 2)
-    go = go[~levy]
-    tau[go] = gen.wald(d[go] / abs(c), d[go] ** 2 / s2)
-    return tau
+    nu = s2 * gen.standard_normal(d.size) ** 2
+    u = gen.random(d.size)
+    a2d = 2.0 * abs(c) * d
+    rho = np.exp(-a2d / s2) if c < 0 else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = a2d + nu + np.sqrt(nu * (2.0 * a2d + nu))
+        t_lo = 2.0 * d * d / den
+        t_hi = den / (2.0 * c * c)
+    return np.where(u * (den + a2d) <= rho * den, t_lo, np.where(u < rho, t_hi, np.inf))
 
 
 def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
@@ -431,7 +495,7 @@ class TestReferenceStream:
     @pytest.mark.parametrize("model, x, levels, n", [
         (fig2_model(), 1.0, np.linspace(2.0, 2.8, 17), 3000),
         (table1_model(sigma=0.25, lam=0.2), 0.0, [0.5, 1.0, 1.5, 2.0], 3000),
-        # engine drift -0.3 + 1.0 * 0.1 < 0: defective passage, coin flips
+        # engine drift -0.3 + 1.0 * 0.1 < 0: defective passage, some rows never get there
         (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0,
          [0.1, 0.3], 2000),
         # engine drift -0.1 + 0.1 * 1 = 0 exactly: every passage is Levy
@@ -449,12 +513,51 @@ class TestReferenceStream:
         assert got.shape == ref.shape == (n, len(levels))
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("c", [0.3, -0.3])
-    def test_passage_straddling_the_levy_cut_matches(self, c):
-        # |c| d < 1e-9 s2 on the first half of the rows only
-        s2 = 0.04
-        d = np.concatenate([np.geomspace(1e-14, 1e-11, 500), np.linspace(0.01, 2.0, 500)])
-        assert 0 < np.count_nonzero(abs(c) * d < 1e-9 * s2) < d.size
-        got = _passage(np.random.Generator(np.random.Philox(3)), d, c, s2)
-        ref = _ref_passage(np.random.Generator(np.random.Philox(3)), d, c, s2)
-        assert np.array_equal(got, ref)
+
+class TestPassageLaw:
+    """_passage against the passage-time transform of c t + sigma W_t over d,
+    E[e^{-q tau}] = exp(d (c - sqrt(c^2 + 2 q s2)) / s2), and against its
+    reach probability exp(2cd/s2) for c < 0, through zero drift from both sides."""
+
+    @pytest.mark.parametrize("c", [-0.5, -1e-12, 0.0, 1e-12, 0.5])
+    def test_laplace_transform_and_reach(self, c):
+        s2, n = 0.09, 200_000
+        gen = np.random.Generator(np.random.SFC64(41))
+        for d in (0.02, 0.1, 0.3):  # reached with probability 0.80 to 0.036 at c = -0.5
+            tau = _passage(gen, np.full(n, d), c, s2)
+            assert not np.isnan(tau).any() and np.all(tau > 0)
+            # q where the zero-drift transform is e^{-x}: no rare-event estimates
+            for q in (s2 / 2.0 * (x / d) ** 2 for x in (0.05, 0.5, 1.0, 2.0, 4.0)):
+                disc = np.exp(-q * tau)
+                want = math.exp(d * (c - math.sqrt(c * c + 2.0 * q * s2)) / s2)
+                assert abs(disc.mean() - want) <= 4.0 * disc.std(ddof=1) / math.sqrt(n)
+            reach = math.exp(2.0 * c * d / s2) if c < 0 else 1.0
+            hit = np.isfinite(tau).mean()
+            assert abs(hit - reach) <= 4.0 * math.sqrt(reach * (1.0 - reach) / n)
+
+    @pytest.mark.parametrize("c", [0.3, 0.0, -0.3])
+    def test_zero_normal_is_finite_law_and_silent(self, c):
+        # a standard normal of exactly 0 puts nu = 0: the roots meet at d/|c|,
+        # and at c = 0 the Levy time d^2/nu is inf; nothing may come out NaN or warn
+        class ZeroNormal:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        d = np.array([1e-12, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = _passage(ZeroNormal(), d, c, 0.04)
+        # c < 0: reached (U = 0.5 below exp(2cd/s2)) from 1e-12 only
+        want = np.full(d.size, np.inf) if c == 0 else np.where(
+            0.5 < np.exp(2.0 * c * d / 0.04), d / abs(c), np.inf)
+        np.testing.assert_allclose(tau, want, rtol=1e-15)
+
+    def test_silent_outside_the_engine(self):
+        gen = np.random.Generator(np.random.SFC64(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (0.5, 0.0, -0.5):
+                _passage(gen, np.linspace(1e-12, 2.0, 1000), c, 0.04)

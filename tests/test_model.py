@@ -75,6 +75,12 @@ class TestJumpDists:
         with pytest.raises(InvalidModel, match="finite"):
             make(bad)
 
+    def test_beta_sum_must_be_finite(self):
+        # finite c and d whose sum overflows: the mean would read 1e308/inf = 0
+        with pytest.raises(InvalidModel, match="c \\+ d must be finite"):
+            BetaJumps(1e308, 1e308)
+        assert BetaJumps(1e307, 1e307).mean() == 0.5
+
     def test_support(self):
         assert GammaJumps(1.0, 1.0).support == (0.0, np.inf)
         assert BetaJumps(2.0, 2.0).support == (0.0, 1.0)
