@@ -26,7 +26,10 @@ results are aggregated in index order. Replays are bit-identical for a
 given seed regardless of how chunks might be scheduled. Each pass draws,
 in an order, sizes and arguments that performance changes keep: one
 normal then one uniform per live path; gap-end draws for the misses;
-then their jump marks and exponential gaps.
+then their jump marks and exponential gaps. A pass computes in place,
+in arrays it already owns, with the floating-point operations of the
+formulas in their order (at most the operands of + and * swapped), so
+every result is the same to the bit as the formulas written out.
 """
 from __future__ import annotations
 
@@ -130,23 +133,43 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np
     folded into the same uniform U: t_lo if U < rho p, t_hi if U < rho,
     else inf. Every term is positive, so nothing cancels as c -> 0, and
     c = 0 gives p = 1 and t_lo = d^2/nu, the Levy law.
+
+    Every step writes into an array this call already owns; d is only read.
     """
-    a2d = 2.0 * abs(c) * d  # 2ad
-    nu = s2 * gen.standard_normal(d.size) ** 2
+    a2d = d * (2.0 * abs(c))  # 2ad
+    nu = gen.standard_normal(d.size)
+    np.square(nu, out=nu)
+    nu *= s2
     u = gen.random(d.size)
     # c = 0 makes t_hi 0/0 or x/0, never chosen; Z = 0 there too makes t_lo = inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = a2d + nu + np.sqrt(nu * (2.0 * a2d + nu))
-        t_lo = 2.0 * d * d / den
-        t_hi = den / (2.0 * c * c)
-    # U < rho p with p = den/(den + 2ad), kept free of division; <= takes
-    # t_lo when den = 0, where t_lo = inf is the Levy time for Z = 0
+        den = a2d * 2.0
+        den += nu
+        den *= nu
+        np.sqrt(den, out=den)
+        nu += a2d
+        den += nu  # 2ad + nu + sqrt(nu (4ad + nu)); nu is free from here on
+        tau = np.multiply(d, 2.0, out=nu)
+        tau *= d
+        tau /= den  # t_lo
+        # U < rho p with p = den/(den + 2ad), kept free of division; <= takes
+        # t_lo when den = 0, where t_lo = inf is the Levy time for Z = 0
+        bound = den
+        if c < 0:
+            rho = np.negative(a2d)
+            rho /= s2
+            np.exp(rho, out=rho)
+            never = u >= rho
+            rho *= den
+            bound = rho
+        a2d += den
+        u *= a2d
+        high = np.less_equal(u, bound)
+        np.logical_not(high, out=high)  # not <=, so a NaN takes t_hi
+        np.divide(den, 2.0 * c * c, out=tau, where=high)  # t_hi
     if c < 0:
-        rho = np.exp(-a2d / s2)
-        tau = np.where(u * (den + a2d) <= rho * den, t_lo, t_hi)
-        tau[u >= rho] = np.inf
-        return tau
-    return np.where(u * (den + a2d) <= den, t_lo, t_hi)
+        tau[never] = np.inf
+    return tau
 
 
 def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.ndarray,
@@ -159,18 +182,45 @@ def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.nda
     Brownian motion with that drift, started on the sphere of radius d
     with density proportional to exp(|c| d cos(theta) / sigma^2) about
     the drift direction (Rogers & Pitman 1981).
+
+    d and h are scratch: the result is built in their buffers and fresh draws.
     """
-    shrink = 1.0 - h / tau
-    r = d * shrink
+    shrink = np.divide(h, tau)
+    np.subtract(1.0, shrink, out=shrink)
     if c < 0:
-        never = np.flatnonzero(np.isinf(tau))
+        never = np.isinf(tau).nonzero()[0]
         dn, hn = d[never], h[never]
-        kappa = -c * dn / (sigma * sigma)
-        cos = 1.0 + np.log1p(gen.random(never.size) * np.expm1(-2.0 * kappa)) / kappa
-        r[never] = np.sqrt(dn * dn + (c * hn) ** 2 - 2.0 * c * dn * hn * cos)
-    v2 = sigma * sigma * h * shrink
-    return np.sqrt((r + np.sqrt(v2) * gen.standard_normal(d.size)) ** 2
-                   + 2.0 * v2 * gen.standard_exponential(d.size))
+    r = np.multiply(d, shrink, out=d)
+    if c < 0:
+        kappa = dn * -c
+        kappa /= sigma * sigma
+        cos = kappa * -2.0
+        np.expm1(cos, out=cos)
+        cos *= gen.random(never.size)
+        np.log1p(cos, out=cos)
+        cos /= kappa
+        cos += 1.0
+        # r = sqrt(dn^2 + (c hn)^2 - 2 c dn hn cos), kappa's buffer reused
+        cross = np.multiply(dn, 2.0 * c, out=kappa)
+        cross *= hn
+        cross *= cos
+        hn *= c
+        np.square(hn, out=hn)
+        dn *= dn
+        dn += hn
+        dn -= cross
+        r[never] = np.sqrt(dn, out=dn)
+    v2 = np.multiply(h, sigma * sigma, out=h)
+    v2 *= shrink
+    w = gen.standard_normal(r.size)
+    w *= np.sqrt(v2, out=shrink)
+    w += r
+    np.square(w, out=w)
+    v2 *= 2.0
+    e = gen.standard_exponential(r.size)
+    e *= v2
+    w += e
+    return np.sqrt(w, out=w)
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float,
@@ -187,31 +237,40 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:hit0] = 0.0
     rows = np.arange(n if hit0 < m else 0)
-    pos, t, k = np.full(rows.size, start), np.zeros(rows.size), np.full(rows.size, hit0)
+    # float even for an int start: each pass writes the next distance into pos
+    pos, t = np.full(rows.size, start, dtype=float), np.zeros(rows.size)
+    k = np.full(rows.size, hit0)
     gap = gap[rows]
 
     with np.errstate(divide="ignore", over="ignore"):
         while rows.size:
             lev = levels[k]
-            d = np.maximum(lev - pos, 1e-12)  # rounding may leave a path on its barrier
-            h = gap - t
+            d = np.subtract(lev, pos, out=pos)  # lev is the position from here on
+            np.maximum(d, 1e-12, out=d)  # rounding may leave a path on its barrier
             dt = _passage(gen, d, drift, sigma * sigma)
+            h = gap - t
             hit = dt < h
-            t = np.where(hit, t + dt, gap)
-            got = np.flatnonzero(hit)
+            t += dt
+            got = hit.nonzero()[0]
             cells[k[got] * n + rows[got]] = t[got]
-            k = k + hit
+            k += hit
+            miss = np.logical_not(hit, out=hit).nonzero()[0]
+            gap_miss = gap[miss]
+            t[miss] = gap_miss
 
-            miss = np.flatnonzero(~hit)
             pos = lev
-            pos[miss] -= _gap_end(gen, d[miss], h[miss], dt[miss], drift, sigma)
+            d, h, dt = d[miss], h[miss], dt[miss]  # the full-length arrays are freed here
+            pos[miss] -= _gap_end(gen, d, h, dt, drift, sigma)
             if lam > 0:
-                miss = miss[gap[miss] < horizon]
+                miss = miss[gap_miss < horizon]
                 pos[miss] += _jump_shift(model, gen, miss.size)
-                gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
-            live = (k < m) & (t < horizon)
+                wait = gen.exponential(1.0 / lam, miss.size)
+                wait += t[miss]
+                gap[miss] = np.minimum(wait, horizon, out=wait)
+            live = np.less(k, m, out=hit)
+            live &= t < horizon
             if not live.all():  # compact only when some path finished
-                keep = np.flatnonzero(live)
+                keep = live.nonzero()[0]
                 rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
 
     return tau
@@ -237,7 +296,7 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     chunks = [_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
                               elevels, drift, horizon)
               for index, lo in enumerate(range(0, n, CHUNK))]
-    return np.concatenate(chunks, axis=1).T
+    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)).T
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
@@ -258,21 +317,24 @@ def _discounted(model: Model, tau: np.ndarray) -> np.ndarray:
 def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
              horizon: float | None) -> tuple[list[MCEstimate], np.ndarray]:
     """g_j E[e^{-r tau_j}], stopping at the first passage over each ascending
-    barrier, from one shared path set, and the level-major passage times.
-    A barrier at or below x is passed at tau = 0, so its estimate is g_j
-    exactly, with zero standard error."""
+    barrier, from one shared path set, and the level-major discount factors
+    e^{-r tau} (0 where not reached). A barrier at or below x is passed at
+    tau = 0, so its estimate is g_j exactly, with zero standard error."""
     tau = first_passage_times(model, x, levels, n, seed, horizon).T  # contiguous level rows
     horizon = _horizon(model, horizon)
-    estimates = []
-    for j, g in enumerate(gvals):
-        disc = _discounted(model, tau[j])
-        estimates.append(MCEstimate(mean=g * float(disc.mean()),
-                                    stderr=abs(g) * float(disc.std(ddof=1) / sqrt(n)),
-                                    n_paths=n, horizon=horizon,
-                                    truncation_bound=abs(g) * exp(-model.discount * horizon)
-                                    * float(np.isinf(tau[j]).mean()),
-                                    seed=seed))
-    return estimates, tau
+    censored = [float(np.isinf(row).mean()) for row in tau]
+    if model.discount > 0:  # in place: e^{-r inf} = 0 needs no mask
+        tau *= -model.discount
+        disc = np.exp(tau, out=tau)
+    else:
+        disc = _discounted(model, tau)
+    tail = exp(-model.discount * horizon)
+    estimates = [MCEstimate(mean=g * float(row.mean()),
+                            stderr=abs(g) * float(row.std(ddof=1) / sqrt(n)),
+                            n_paths=n, horizon=horizon,
+                            truncation_bound=abs(g) * tail * frac, seed=seed)
+                 for g, row, frac in zip(gvals, disc, censored)]
+    return estimates, disc
 
 
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
@@ -345,9 +407,9 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     """
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     gvals = payoff.eval(np.maximum(thresholds, x))
-    estimates, tau = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
+    estimates, disc = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
     best, y_fit = _fitted_argmax(thresholds, np.array([e.mean for e in estimates]), x,
-                                 lambda rows: gvals[rows, None] * _discounted(model, tau[rows]))
+                                 lambda rows: gvals[rows, None] * disc[rows])
     return GridSearchResult(thresholds=tuple(float(v) for v in thresholds),
                             estimates=tuple(estimates), best_y=float(thresholds[best]),
                             y_fit=y_fit)

@@ -69,10 +69,20 @@ __all__ = [
 MAX_BREAKPOINTS = 64
 
 
+def _as_float(value) -> float:
+    """float(value), with an int too large for a float read as inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(what: str, error: type[InvalidModel] = InvalidModel, **params) -> None:
-    """Reject NaN and infinite parameters; tuples are checked elementwise."""
+    """Reject NaN, infinite and float-overflowing parameters; tuples are checked
+    elementwise."""
     for name, value in params.items():
-        if not np.all(np.isfinite(value)):
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(_as_float(v)) for v in values):
             raise error(f"{what} {name} must be finite")
 
 
@@ -220,8 +230,8 @@ class TabulatedJumps:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        nodes = tuple(float(v) for v in self.nodes)
-        weights = tuple(float(w) for w in self.weights)
+        nodes = tuple(map(_as_float, self.nodes))
+        weights = tuple(map(_as_float, self.weights))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         _require_finite("tabulated jump law", nodes=nodes, weights=weights)
@@ -398,8 +408,8 @@ class TabulatedPayoff:
     _break_even: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bp = tuple(float(v) for v in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(map(_as_float, self.breakpoints))
+        vals = tuple(map(_as_float, self.values))
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         _require_finite("tabulated payoff", BadPayoff, breakpoints=bp, values=vals)
@@ -652,10 +662,7 @@ _PAYOFF_KINDS = _kinds(capped_call=CappedCall, power_call=PowerCall, tabulated=T
 def _number(value, key: str) -> float:
     """A finite JSON number as a float; InvalidModel naming the key otherwise."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
+        number = _as_float(value)
         if math.isfinite(number):
             return number
     raise InvalidModel(f"config key {key!r} must be a finite number, got {value!r:.40}")

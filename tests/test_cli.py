@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levystop import reproduce
+from levystop import first_passage_times, model_from_config, reproduce
 from levystop.cli import build_parser, main
 
 # a floating-point warning reaching stderr breaks the one-line error contract
@@ -287,6 +287,23 @@ class TestSimulate:
         # target is g(y) psi(x)/psi(y), not the bare Laplace transform
         assert data["target_analytic"] == pytest.approx(
             1.4 * (1.0 / 2.4) ** 1.7201413317334953, rel=1e-9)
+
+    def test_zero_discount_with_horizon(self, capsys, cfg_file):
+        # r = 0: a reached path is worth g(y) undiscounted, so the mean is
+        # g(y) times the reached fraction, exactly, and no field is NaN
+        cfg = dict(TABLE1_CFG, volatility=0.3, r=0.0,
+                   payoff={"kind": "capped_call", "params": {"K": 3.0, "I": 1.0}})
+        code, out, _ = run_cli(capsys, "simulate", "--config", cfg_file(cfg), "--x", "1.0",
+                               "--y", "2.0", "--n", "2000", "--seed", "1", "--horizon", "20")
+        assert code == 0
+        data = json.loads(out)
+        model, payoff = model_from_config(cfg)
+        tau = first_passage_times(model, 1.0, [2.0], 2000, seed=1, horizon=20.0)
+        reached = float(np.isfinite(tau).mean())
+        assert 0.0 < reached < 1.0
+        assert data["mean"] == payoff.eval(2.0) * reached
+        assert data["horizon"] == 20.0
+        assert not any(isinstance(v, float) and math.isnan(v) for v in data.values())
 
     def test_deterministic_output(self, capsys, cfg_file):
         args = ("simulate", "--config", cfg_file(FIG2_CFG), "--x", "1.0",

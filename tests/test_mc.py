@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from levystop import (
     Family,
     GammaJumps,
     InvalidModel,
+    MCEstimate,
     Model,
     PowerCall,
     default_horizon,
@@ -27,7 +29,7 @@ from levystop import (
     threshold_grid_search,
 )
 from levystop.mc import (CHUNK, _chunk_stream, _engine_setup, _fitted_argmax, _gap_end, _jump_shift,
-                         _passage, simulate_to_threshold)
+                         _passage, _stop_at, simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -181,6 +183,13 @@ class TestFirstPassage:
         tau = first_passage_times(m, 0.0, [1.0], 500, seed=0, horizon=50.0)
         assert np.isfinite(tau).any()
         assert (~np.isfinite(tau)).any()  # negative drift strands some paths
+
+    def test_integer_start_and_barriers(self):
+        # each pass writes the next distance into the position array: an int
+        # start must still give a float one, and the same paths as its float
+        m = table1_model(sigma=0.25, lam=0.2)
+        assert np.array_equal(first_passage_times(m, 0, [1, 2], 500, seed=3),
+                              first_passage_times(m, 0.0, [1.0, 2.0], 500, seed=3))
 
     def test_jumps_change_passage_like_k1(self):
         # compensation raises the drift between jumps, so a nearby barrier
@@ -512,6 +521,70 @@ class TestReferenceStream:
         ref = _ref_first_passage_times(model, x, levels, n, seed=17)
         assert got.shape == ref.shape == (n, len(levels))
         assert np.array_equal(got, ref)
+
+
+def _ref_stop_at(model, x, levels, gvals, n, seed, horizon):
+    """The per-level statistics as _stop_at was first written: each level row
+    discounted through a reached-mask, then its mean, std and censored share."""
+    tau = first_passage_times(model, x, levels, n, seed, horizon).T
+    horizon = default_horizon(model) if horizon is None else horizon
+    estimates, rows = [], []
+    for j, g in enumerate(gvals):
+        reached = np.isfinite(tau[j])
+        disc = np.where(reached, np.exp(-model.discount * np.where(reached, tau[j], 0.0)), 0.0)
+        rows.append(disc)
+        estimates.append(MCEstimate(mean=g * float(disc.mean()),
+                                    stderr=abs(g) * float(disc.std(ddof=1) / math.sqrt(n)),
+                                    n_paths=n, horizon=horizon,
+                                    truncation_bound=abs(g) * math.exp(-model.discount * horizon)
+                                    * float(np.isinf(tau[j]).mean()),
+                                    seed=seed))
+    return estimates, np.array(rows)
+
+
+class TestReferenceStatistics:
+    """_stop_at's estimates and discount rows, bit for bit against _ref_stop_at."""
+
+    @pytest.mark.parametrize("model, x, levels, gvals, n, horizon", [
+        # the levels at or below the start are passed at time 0: stderr exactly 0
+        (fig2_model(), 2.3, np.linspace(2.0, 2.8, 17), np.linspace(-0.5, 1.5, 17).tolist(),
+         3000, None),
+        # a short horizon censors paths at every level
+        (table1_model(sigma=0.25, lam=0.2), 0.0, [0.5, 1.0, 2.0], [1.0, -2.0, 0.5], 3000, 3.0),
+        # two chunks, concatenated
+        (fig2_model(), 1.0, [1.5, 2.0, 2.4], [0.5, 1.0, 1.4], 70_000, None),
+        # r = 0: the masked discount, with an explicit horizon
+        (replace(table1_model(sigma=0.25, lam=0.2), discount=0.0), 0.0, [0.5, 1.0], [1.0, 2.0],
+         3000, 5.0),
+    ], ids=["start_inside_grid", "short_horizon", "two_chunks", "zero_discount"])
+    def test_estimates_match(self, model, x, levels, gvals, n, horizon):
+        got, disc = _stop_at(model, x, levels, gvals, n, 17, horizon)
+        want, ref = _ref_stop_at(model, x, levels, gvals, n, 17, horizon)
+        assert [repr(e) for e in got] == [repr(e) for e in want]  # repr tells -0.0 from 0.0
+        assert np.array_equal(disc, ref)
+        at_start = [(g, e) for level, g, e in zip(levels, gvals, got) if level <= x]
+        assert all(e.mean == g and e.stderr == 0.0 for g, e in at_start)
+        if horizon is not None:
+            assert all(e.truncation_bound > 0.0 for e in got)
+
+
+class TestZeroDiscount:
+    """r = 0 with an explicit horizon: e^{-0 tau} is 1 on every reached path,
+    so an estimate is the reached fraction (times g(y)), exactly."""
+
+    def test_mean_is_the_reached_fraction(self):
+        model = Model(Family.ARITHMETIC, 0.04, 0.3, 0.5, ExponentialJumps(4.0), 0.0)
+        payoff = CappedCall(K=3.0, I=1.0)
+        tau = first_passage_times(model, 1.0, [2.0], 4000, seed=8, horizon=20.0)
+        reached, censored = float(np.isfinite(tau).mean()), float(np.isinf(tau).mean())
+        assert 0.0 < reached < 1.0
+        laplace = estimate_laplace(model, 1.0, 2.0, 4000, seed=8, horizon=20.0)
+        policy = policy_value(model, payoff, 1.0, 2.0, 4000, seed=8, horizon=20.0)
+        assert laplace.mean == reached
+        assert policy.mean == payoff.eval(2.0) * reached
+        assert laplace.truncation_bound == censored
+        for est in (laplace, policy):
+            assert not any(math.isnan(v) for v in astuple(est))
 
 
 class TestPassageLaw:

@@ -420,6 +420,24 @@ class TestPayoffFiniteness:
             make(bad)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda big: Model(Family.ARITHMETIC, big, 0.2, 0.0, None, 0.05), InvalidModel),
+    (lambda big: GammaJumps(big, 1.0), InvalidModel),
+    (lambda big: ExponentialJumps(big), InvalidModel),
+    (lambda big: BetaJumps(1.25, big), InvalidModel),
+    (lambda big: PointMassJumps(big), InvalidModel),
+    (lambda big: TabulatedJumps((big,), (1.0,)), InvalidModel),
+    (lambda big: CappedCall(K=big, I=1.0), BadPayoff),
+    (lambda big: PowerCall(1.0, 1.0, big), BadPayoff),
+    (lambda big: TabulatedPayoff((0.0, big), (-1.0, 1.0)), BadPayoff),
+], ids=["model", "gamma", "exponential", "beta", "point_mass", "tabulated_jumps",
+        "capped_call", "power_call", "tabulated_payoff"])
+def test_int_too_large_for_a_float_is_not_finite(make, error):
+    # float(10**400) overflows: the documented error, not a raw TypeError or OverflowError
+    with pytest.raises(error, match="must be finite"):
+        make(10 ** 400)
+
+
 class TestModel:
     @pytest.mark.parametrize("field", ["drift", "volatility", "jump_intensity",
                                        "discount", "jump_scale"])
