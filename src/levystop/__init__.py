@@ -9,15 +9,12 @@ thresholds and value functions, sandwiches them between continuous
 comparison problems, reports jump-risk-adjusted discount/drift/growth
 rates, and cross-checks everything against an exact-skeleton Monte
 Carlo first-passage oracle.
+
+The bounds, mc and stopping exports are imported on first access, and
+numpy on first array use, so `import levystop` loads none of them.
 """
-from .bounds import (
-    SandwichReport,
-    adjusted_discount,
-    adjusted_drift,
-    certainty_growth,
-    certainty_time,
-    sandwich,
-)
+import importlib
+
 from .errors import (
     BadJumpSupport,
     BadPayoff,
@@ -32,15 +29,6 @@ from .errors import (
     NoPositiveRoot,
     SolverError,
     ZeroDiscountForThreshold,
-)
-from .mc import (
-    GridSearchResult,
-    MCEstimate,
-    default_horizon,
-    estimate_laplace,
-    first_passage_times,
-    policy_value,
-    threshold_grid_search,
 )
 from .model import (
     BetaJumps,
@@ -60,6 +48,22 @@ from .model import (
     validate,
 )
 from .roots import RootResult, char_eq, continuous_root, psi, solve_k1
-from .stopping import ThresholdSolution, solve_threshold, value_fn
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it (or is it), imported on first access
+_LAZY = {name: module for module, names in {
+    "bounds": ("SandwichReport", "adjusted_discount", "adjusted_drift", "certainty_growth",
+               "certainty_time", "sandwich"),
+    "mc": ("GridSearchResult", "MCEstimate", "default_horizon", "estimate_laplace",
+           "first_passage_times", "policy_value", "threshold_grid_search"),
+    "stopping": ("ThresholdSolution", "solve_threshold", "value_fn"),
+}.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, SolverError
 from .model import Family, Model, Payoff
 from .roots import jump_transform, solve_k1

@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 (or --out); CSV is RFC-4180 with a header row. Each subcommand builds
 its output as text and `_emit` writes it: output files are written
 before anything reaches stdout, so a failed write exits 2 with stdout
-empty.
+empty. Each subcommand imports the modules only it needs, so `root` on a
+config without tabulated marks or payoff loads neither numpy nor the
+Monte Carlo engine.
 """
 from __future__ import annotations
 
@@ -21,16 +23,14 @@ import functools
 import io
 import json
 import sys
+import warnings
 from dataclasses import replace
 from math import isfinite
 
-import numpy as np
-
-from . import bounds, mc, reproduce
+from ._numpy import np
 from .errors import InvalidModel, SolverError
 from .model import _PAYOFF_KINDS, Model, Payoff, _build, model_from_config, model_to_config
 from .roots import psi_ratio, solve_k1
-from .stopping import solve_threshold, stop_value, value_fn
 
 UNCHECKED = [
     "payoff nonnegativity at jump landings below break-even is assumed, not certified",
@@ -138,6 +138,9 @@ def cmd_root(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import bounds
+    from .stopping import value_fn
+
     model, payoff = _problem(args)
     _finite(args, "x")
     grid = _parse_range(args.grid) if args.grid else None
@@ -178,6 +181,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from . import reproduce
+
     if args.target.startswith("table"):
         header = ["lambda"] + [f"{s:.2f}" for s in reproduce.SIGMAS]
         rows = [[f"{lam:.1f}"] + (row if args.precision == "full" else [f"{v:.2f}" for v in row])
@@ -191,6 +196,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import bounds
+    from .stopping import solve_threshold
+
     model, payoff = _problem(args)
     values = _parse_range(args.range)
     rows = []
@@ -216,6 +224,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import mc
+    from .stopping import solve_threshold, stop_value
+
     model, payoff = _read_config(args.config)
     root = solve_k1(model)
     if args.grid:
@@ -346,8 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # numpy warnings would add stderr lines; finiteness checks catch what matters
-        with np.errstate(all="ignore"):
+        # numpy's floating-point warnings would add stderr lines; finiteness
+        # checks catch what matters
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.fn(args)
     except InvalidModel as exc:
         print(f"error: {exc}", file=sys.stderr)

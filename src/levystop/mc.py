@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, isfinite, log, sqrt
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, InvalidModel
-from .model import Family, Model, Payoff
+from .model import Family, Model, Payoff, _as_float
 
 __all__ = [
     "MCEstimate",
@@ -90,6 +89,15 @@ def _horizon(model: Model, horizon: float | None) -> float:
     if not (isfinite(horizon) and horizon > 0):
         raise InvalidModel(f"simulation horizon must be finite and positive, got {horizon}")
     return horizon
+
+
+def _floats(x0, levels) -> tuple[float, np.ndarray]:
+    """The start as a float, an int beyond the float range read as inf, and
+    the barriers as a 1-d float array; _engine_setup rejects what is not finite."""
+    try:
+        return _as_float(x0), np.atleast_1d(np.asarray(levels, dtype=float))
+    except OverflowError:  # a barrier int beyond the float range
+        raise InvalidModel("start and barriers must be finite") from None
 
 
 def _engine_setup(model: Model, x0: float, levels: np.ndarray):
@@ -282,9 +290,9 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
 
     One shared path set serves every barrier (common random numbers), and
     tau is nondecreasing along each row by construction. The (n, m) result
-    may be a transposed view of a level-major array.
+    is a transposed view of a level-major array.
     """
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
+    x0, levels = _floats(x0, levels)
     if np.any(np.diff(levels) <= 0):
         raise InvalidModel("barriers must be strictly increasing")
     if n <= 1:
@@ -293,10 +301,20 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
         raise InvalidModel(f"seed must be nonnegative, got {seed}")
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
-    chunks = [_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
-                              elevels, drift, horizon)
-              for index, lo in enumerate(range(0, n, CHUNK))]
-    return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)).T
+    if n <= CHUNK:
+        return _simulate_chunk(model, _chunk_stream(seed, 0), n, start, elevels, drift,
+                               horizon).T
+    # the whole result first, so that an n beyond memory fails before any path
+    # runs, and peak memory is the result plus one chunk
+    try:
+        tau = np.empty((len(levels), n))
+    except ValueError as exc:  # more cells than an array can hold
+        raise InvalidModel(f"{n} paths are too many: {exc}") from None
+    for index, lo in enumerate(range(0, n, CHUNK)):
+        tau[:, lo:lo + CHUNK] = _simulate_chunk(model, _chunk_stream(seed, index),
+                                                min(CHUNK, n - lo), start, elevels, drift,
+                                                horizon)
+    return tau.T
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
@@ -304,7 +322,7 @@ def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
     """One path's passage time over y on a caller-supplied stream; inf when
     the horizon comes first. A hit lands on y exactly: jumps only go down."""
     horizon = _horizon(model, horizon)
-    start, elevels, drift = _engine_setup(model, x0, np.asarray([y], dtype=float))
+    start, elevels, drift = _engine_setup(model, *_floats(x0, y))
     return float(_simulate_chunk(model, rng, 1, start, elevels, drift, horizon)[0, 0])
 
 
@@ -351,6 +369,7 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     barrier is crossed continuously and X_tau = y on every hit. From a
     start at or above y the policy stops at once and is worth g(x).
     """
+    x, y = _as_float(x), _as_float(y)  # g of an int beyond the float range would overflow
     return _stop_at(model, x, [y], [payoff.eval(max(x, y))], n, seed, horizon)[0][0]
 
 
@@ -405,7 +424,7 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     (see _fitted_argmax). A level at or below x is worth g(x), as in
     policy_value.
     """
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    x, thresholds = _floats(x, thresholds)
     gvals = payoff.eval(np.maximum(thresholds, x))
     estimates, disc = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
     best, y_fit = _fitted_argmax(thresholds, np.array([e.mean for e in estimates]), x,

@@ -32,9 +32,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import _special
+from ._numpy import np
 from .errors import (
     BadJumpSupport,
     BadPayoff,
@@ -107,7 +106,7 @@ class GammaJumps:
         if not (self.shape > 0 and self.rate > 0):
             raise InvalidModel("gamma jump law needs shape > 0 and rate > 0")
 
-    support = (0.0, np.inf)
+    support = (0.0, math.inf)
 
     def unit_marks(self) -> bool:
         return False

@@ -14,8 +14,7 @@ risk. Rows sweep jump intensity, columns volatility.
 """
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .bounds import certainty_growth, sandwich
 from .model import BetaJumps, Family, GammaJumps, Model, PowerCall
 from .roots import solve_k1

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import copysign, exp, inf, isnan, sqrt
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BracketFailure, DomainError, NoPositiveRoot, SolverError
 from .model import Family, Model
 

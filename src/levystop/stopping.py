@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, NoFiniteThreshold, SolverError
 from .model import Family, Model, Payoff, validate
 from .roots import psi_ratio, solve_k1

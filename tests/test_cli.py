@@ -552,6 +552,18 @@ class TestExitCodes:
         assert err.startswith("error: request too large to allocate: ")
         assert err.count("\n") == 1
 
+    def test_paths_beyond_memory_exit_2_at_once(self, cfg_file):
+        # a fresh process: the whole multi-chunk result is allocated before
+        # the first path, so this n fails at once instead of growing until killed
+        proc = subprocess.run([sys.executable, "-m", "levystop.cli", "simulate",
+                               "--config", cfg_file(FIG2_CFG), "--x", "1.0", "--y", "2.0",
+                               "--n", "100000000000000"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: request too large to allocate: ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):
         # exponential marks reuse the gamma law's maths, not its message
@@ -944,6 +956,67 @@ class TestInstalledScript:
         assert loaded == ["scipy"]  # the blocking entry itself, nothing below it
         assert outs == runs["open"][0]
         assert runs["open"][1] == []  # nor is scipy imported when it is there
+
+    def test_root_runs_without_numpy(self, tmp_path):
+        # numpy loads on first array use: with its import blocked, root on the
+        # README config and on every problem without tabulated marks or payoff
+        # prints what it prints with numpy, and with numpy there it stays unloaded
+        problems = _load(Path(__file__).resolve().parent.parent / "perfbench" / "problems.py")
+        rng = np.random.default_rng(0)
+        configs = [problems.README_CONFIG] + [
+            problems.problem(rng, fam, law, pay) for fam, law, pay in problems.COMBOS
+            if "tabulated" not in (law, pay)]
+        assert len(configs) == 9
+        paths = []
+        for i, cfg in enumerate(configs):
+            paths.append(tmp_path / f"c{i}.json")
+            paths[-1].write_text(json.dumps(cfg))
+        code = ("import contextlib, io, json, sys\n"
+                "if sys.argv[1] == 'blocked':\n"
+                "    sys.modules['numpy'] = None\n"
+                "import levystop, levystop.cli\n"
+                "outs = []\n"
+                "for cfg in sys.argv[2:]:\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        code = levystop.cli.main(['root', '--config', cfg])\n"
+                "    outs.append([code, buf.getvalue()])\n"
+                "print(json.dumps([outs, sorted(m for m in sys.modules if m.startswith('numpy'))]))\n")
+        runs = {}
+        for mode in ("blocked", "open"):
+            proc = subprocess.run([sys.executable, "-c", code, mode, *map(str, paths)],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            runs[mode] = json.loads(proc.stdout)
+        outs, loaded = runs["blocked"]
+        assert [code for code, _ in outs] == [0] * len(configs)
+        assert outs == runs["open"][0]
+        assert loaded == runs["open"][1] == ["numpy"]  # the entry itself, no numpy.* module
+
+    def test_threads_wait_for_the_first_numpy_load(self):
+        # threads that first read numpy together must each see it whole, not
+        # half-built while another thread's read is still loading it
+        code = ("import threading, levystop\n"
+                "start, out = threading.Barrier(8), []\n"
+                "def work():\n"
+                "    start.wait()\n"
+                "    try:\n"
+                "        g = levystop.TabulatedPayoff((0.0, 1.0, 2.0), (-1.0, 0.5, 1.0))\n"
+                "        out.append(repr(g.eval([0.5, 1.5]).tolist()))\n"
+                "    except Exception as exc:\n"
+                "        out.append(repr(exc))\n"
+                "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+                "for t in threads:\n"
+                "    t.start()\n"
+                "for t in threads:\n"
+                "    t.join(60)\n"
+                "print(len(set(out)), len(out), out[0])\n")
+        for _ in range(3):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "1 8 [-0.09375, 0.84375]\n", proc.stdout
 
     def test_beta_tiny_c_solves_as_no_jumps(self, tmp_path):
         # Beta(5e-324, 5) marks are 0 in double precision, so E[(1-Z)^k] = 1 and

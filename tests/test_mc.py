@@ -160,6 +160,19 @@ class TestFirstPassage:
             simulate_to_threshold(fig2, math.nan, 2.0, 10.0,
                                   np.random.Generator(np.random.Philox(0)))
 
+    @pytest.mark.parametrize("call", [
+        lambda m, g: estimate_laplace(m, 10 ** 400, 1.0, 100, 1),
+        lambda m, g: estimate_laplace(m, 0.0, 10 ** 400, 100, 1),
+        lambda m, g: policy_value(m, g, 10 ** 400, 2.0, 100, 1),
+        lambda m, g: threshold_grid_search(m, g, 0.0, [1.0, 10 ** 400], 100, 1),
+        lambda m, g: simulate_to_threshold(m, 1.0, 10 ** 400, 10.0,
+                                           np.random.Generator(np.random.Philox(0))),
+    ], ids=["laplace-start", "laplace-level", "policy-start", "grid-level", "single-path-level"])
+    def test_int_beyond_float_range_is_invalid_model(self, call, capped):
+        # float(10**400) overflows: the documented error, not a raw OverflowError
+        with pytest.raises(InvalidModel, match="start and barriers must be finite"):
+            call(table1_model(), capped)
+
     def test_negative_seed_is_invalid_model(self, fig2, fig2_payoff):
         # numpy's SeedSequence would raise a bare ValueError; every estimator
         # reaches first_passage_times, which names the bad seed
@@ -521,6 +534,17 @@ class TestReferenceStream:
         ref = _ref_first_passage_times(model, x, levels, n, seed=17)
         assert got.shape == ref.shape == (n, len(levels))
         assert np.array_equal(got, ref)
+
+    def test_paths_beyond_memory_fail_before_simulating(self, fig2, monkeypatch):
+        # the multi-chunk result is allocated whole first: an n beyond any
+        # address space fails at once instead of simulating chunk after chunk
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a chunk")
+        monkeypatch.setattr("levystop.mc._simulate_chunk", never)
+        with pytest.raises(MemoryError):
+            first_passage_times(fig2, 1.0, [2.0], 10 ** 17, seed=0)
+        with pytest.raises(InvalidModel, match="paths are too many"):
+            first_passage_times(fig2, 1.0, np.linspace(1.5, 3.0, 17), 10 ** 18, seed=0)
 
 
 def _ref_stop_at(model, x, levels, gvals, n, seed, horizon):
