@@ -19,7 +19,7 @@ collapse the jump model onto a continuous one that shares k1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 from ._numpy import np
 from .errors import DomainError, SolverError
@@ -91,7 +91,8 @@ def certainty_time(model: Model, k1: float, x: float, x_star: float) -> float:
     else:
         if x <= 0:
             raise DomainError("geometric state must be positive")
-        gap = k1 * log(x_star / x)
+        ratio = x_star / x  # overflows for a subnormal x; the logs do not
+        gap = k1 * (log(ratio) if isfinite(ratio) else log(x_star) - log(x))
     return gap / model.discount
 
 

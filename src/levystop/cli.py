@@ -249,9 +249,6 @@ def cmd_simulate(args) -> int:
                 for y, e in zip(result.thresholds, result.estimates)
             ],
         }
-        _emit(_json_text(payload), args.out)
-        if not args.do_assert:
-            return 0
         if args.x >= sol.x_star:  # the rule is "stop now": no level may beat g(x)
             stop_now = payoff.eval(args.x)
             violated = any(e.mean - stop_now > 3.0 * e.stderr + e.truncation_bound
@@ -260,36 +257,32 @@ def cmd_simulate(args) -> int:
         else:
             violated = abs(result.best_y - sol.x_star) > spacing
             verdict = "best_y beyond one grid step"
-        if violated:
-            print(f"statistical contract violated: {verdict}", file=sys.stderr)
-            return 4
-        return 0
-
-    if args.y is None:
-        raise InvalidModel("simulate needs --y or --grid")
-    if payoff is not None:
-        est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
-                              args.horizon)
-        target = stop_value(model, payoff, root.k1, args.x, args.y)
     else:
-        est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
+        if args.y is None:
+            raise InvalidModel("simulate needs --y or --grid")
+        if payoff is not None:
+            est = mc.policy_value(model, payoff, args.x, args.y, args.n, args.seed,
                                   args.horizon)
-        target = psi_ratio(model, root.k1, args.x, args.y)
-    z = 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr
-    payload = {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_paths": est.n_paths,
-        "horizon": est.horizon,
-        "truncation_bound": est.truncation_bound,
-        "seed": est.seed,
-        "target_analytic": target,
-        "z_score": z,
-    }
+            target = stop_value(model, payoff, root.k1, args.x, args.y)
+        else:
+            est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
+                                      args.horizon)
+            target = psi_ratio(model, root.k1, args.x, args.y)
+        payload = {
+            "mean": est.mean,
+            "stderr": est.stderr,
+            "n_paths": est.n_paths,
+            "horizon": est.horizon,
+            "truncation_bound": est.truncation_bound,
+            "seed": est.seed,
+            "target_analytic": target,
+            "z_score": 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr,
+        }
+        violated = abs(est.mean - target) > 3.0 * est.stderr + est.truncation_bound
+        verdict = "estimate beyond 3 stderr + truncation"
     _emit(_json_text(payload), args.out)
-    if args.do_assert and abs(est.mean - target) > 3.0 * est.stderr + est.truncation_bound:
-        print("statistical contract violated: estimate beyond 3 stderr + truncation",
-              file=sys.stderr)
+    if args.do_assert and violated:
+        print(f"statistical contract violated: {verdict}", file=sys.stderr)
         return 4
     return 0
 

@@ -21,15 +21,16 @@ and the jump is applied. There is no time step, so the recorded passage
 times carry no discretization error.
 
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
-driven by its own SFC64 stream keyed (seed, chunk index), and chunk
-results are aggregated in index order. Replays are bit-identical for a
-given seed regardless of how chunks might be scheduled. Each pass draws,
-in an order, sizes and arguments that performance changes keep: one
-normal then one uniform per live path; gap-end draws for the misses;
-then their jump marks and exponential gaps. A pass computes in place,
-in arrays it already owns, with the floating-point operations of the
-formulas in their order (at most the operands of + and * swapped), so
-every result is the same to the bit as the formulas written out.
+driven by its own SFC64 stream keyed (seed, chunk index) and writing its
+own columns of one result, allocated before any path runs. Replays are
+bit-identical for a given seed regardless of how chunks might be
+scheduled. Each pass draws, in an order, sizes and arguments that
+performance changes keep: one normal then one uniform per live path;
+gap-end draws for the misses; then their jump marks and exponential
+gaps. A pass computes in place, in arrays it already owns, with the
+floating-point operations of the formulas in their order (at most the
+operands of + and * swapped), so every result is the same to the bit as
+the formulas written out.
 """
 from __future__ import annotations
 
@@ -76,10 +77,15 @@ class GridSearchResult:
 
 
 def default_horizon(model: Model) -> float:
-    """T with e^{-rT} = 1e-4; r = 0 has no finite default, pass one explicitly."""
+    """T with e^{-rT} = 1e-4. r = 0, or an r so small that T overflows, has
+    no finite default: pass one explicitly."""
     if model.discount <= 0:
         raise InvalidModel("r = 0 needs an explicit simulation horizon")
-    return log(1.0 / TERMINAL_DISCOUNT) / model.discount
+    horizon = log(1.0 / TERMINAL_DISCOUNT) / model.discount
+    if not isfinite(horizon):  # r below about 5e-308: paths that never hit would run forever
+        raise InvalidModel(f"r = {model.discount} gives no finite default horizon; "
+                           "pass --horizon")
+    return horizon
 
 
 def _horizon(model: Model, horizon: float | None) -> float:
@@ -231,19 +237,18 @@ def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.nda
     return np.sqrt(w, out=w)
 
 
-def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float,
-                    levels: np.ndarray, drift: float, horizon: float) -> np.ndarray:
-    """The level-major passage-time matrix (len(levels), n), inf where not reached."""
-    m = len(levels)
+def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels: np.ndarray,
+                    drift: float, horizon: float, tau: np.ndarray, lo: int, n: int) -> None:
+    """Write n paths into columns lo:lo + n of tau (level-major, inf where not reached)."""
+    m, width = tau.shape
     sigma = model.volatility
     lam = model.jump_intensity
-    tau = np.full((m, n), np.inf)
-    cells = tau.reshape(-1)  # a view: level j, row i is cell j * n + i
+    cells = tau.reshape(-1)[lo:]  # a view: level j, row i is cell j * width + i
     gap = np.minimum(gen.exponential(1.0 / lam, n), horizon) if lam > 0 else np.full(n, horizon)
 
     # state of the live paths only: row, position, clock, next barrier, gap end
     hit0 = int(np.searchsorted(levels, start, side="right"))
-    tau[:hit0] = 0.0
+    tau[:hit0, lo:lo + n] = 0.0
     rows = np.arange(n if hit0 < m else 0)
     # float even for an int start: each pass writes the next distance into pos
     pos, t = np.full(rows.size, start, dtype=float), np.zeros(rows.size)
@@ -260,7 +265,7 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
             hit = dt < h
             t += dt
             got = hit.nonzero()[0]
-            cells[k[got] * n + rows[got]] = t[got]
+            cells[k[got] * width + rows[got]] = t[got]
             k += hit
             miss = np.logical_not(hit, out=hit).nonzero()[0]
             gap_miss = gap[miss]
@@ -281,8 +286,6 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, n: int, start: float
                 keep = live.nonzero()[0]
                 rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
 
-    return tau
-
 
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
                         horizon: float | None = None) -> np.ndarray:
@@ -301,19 +304,14 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
         raise InvalidModel(f"seed must be nonnegative, got {seed}")
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, x0, levels)
-    if n <= CHUNK:
-        return _simulate_chunk(model, _chunk_stream(seed, 0), n, start, elevels, drift,
-                               horizon).T
-    # the whole result first, so that an n beyond memory fails before any path
-    # runs, and peak memory is the result plus one chunk
+    # the whole result first, so that an n beyond memory fails before any path runs
     try:
-        tau = np.empty((len(levels), n))
+        tau = np.full((len(levels), n), np.inf)
     except ValueError as exc:  # more cells than an array can hold
         raise InvalidModel(f"{n} paths are too many: {exc}") from None
     for index, lo in enumerate(range(0, n, CHUNK)):
-        tau[:, lo:lo + CHUNK] = _simulate_chunk(model, _chunk_stream(seed, index),
-                                                min(CHUNK, n - lo), start, elevels, drift,
-                                                horizon)
+        _simulate_chunk(model, _chunk_stream(seed, index), start, elevels, drift, horizon,
+                        tau, lo, min(CHUNK, n - lo))
     return tau.T
 
 
@@ -323,13 +321,9 @@ def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
     the horizon comes first. A hit lands on y exactly: jumps only go down."""
     horizon = _horizon(model, horizon)
     start, elevels, drift = _engine_setup(model, *_floats(x0, y))
-    return float(_simulate_chunk(model, rng, 1, start, elevels, drift, horizon)[0, 0])
-
-
-def _discounted(model: Model, tau: np.ndarray) -> np.ndarray:
-    """e^{-r tau}, and 0 where tau = inf (not reached within the horizon)."""
-    reached = np.isfinite(tau)
-    return np.where(reached, np.exp(-model.discount * np.where(reached, tau, 0.0)), 0.0)
+    tau = np.full((1, 1), np.inf)
+    _simulate_chunk(model, rng, start, elevels, drift, horizon, tau, 0, 1)
+    return float(tau[0, 0])
 
 
 def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
@@ -344,8 +338,8 @@ def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
     if model.discount > 0:  # in place: e^{-r inf} = 0 needs no mask
         tau *= -model.discount
         disc = np.exp(tau, out=tau)
-    else:
-        disc = _discounted(model, tau)
+    else:  # e^{-0 tau} = 1 where reached, 0 at tau = inf
+        disc = np.isfinite(tau).astype(float)
     tail = exp(-model.discount * horizon)
     estimates = [MCEstimate(mean=g * float(row.mean()),
                             stderr=abs(g) * float(row.std(ddof=1) / sqrt(n)),

@@ -520,9 +520,14 @@ class TabulatedPayoff:
                        c1 * (1.0 - k1) + 2.0 * b * c2, b * c1 - k1 * c0)
             else:
                 foc = (-k1 * c3, 3.0 * c3 - k1 * c2, 2.0 * c2 - k1 * c1, c1 - k1 * c0)
+            try:
+                roots = np.roots(foc)
+            except np.linalg.LinAlgError:  # a subnormal or non-finite coefficient overflows
+                raise SolverError(f"first-order cubic of the piece at {b} is not finite "
+                                  f"at k1 = {k1}") from None
             # a complex pair contributes its real part: a spare candidate
             # that covers a double root which rounding moved off the real line
-            roots, lo = b + np.roots(foc).real, max(b, x0)
+            roots, lo = b + roots.real, max(b, x0)
             ends = np.concatenate(([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi]))
             signs += np.sign(np.polyval(foc, 0.5 * (ends[:-1] + ends[1:]) - b)).tolist()
             points += ends[1:].tolist()

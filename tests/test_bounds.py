@@ -186,6 +186,14 @@ class TestCertaintyTime:
         lhs = math.exp(-m.discount * t) * sol.value_at_star
         assert lhs == pytest.approx(value_fn(sol, 0.0), rel=1e-12)
 
+    def test_subnormal_geometric_state(self, fig2, fig2_payoff):
+        # x*/x overflows below x = 2.2e-308; the difference of logs does not
+        sol = solve_threshold(fig2, fig2_payoff)
+        x = 1e-310
+        t = certainty_time(fig2, sol.k1, x, sol.x_star)
+        assert t == sol.k1 * (math.log(sol.x_star) - math.log(x)) / fig2.discount
+        assert t == pytest.approx(24586.74, rel=1e-6)
+
     def test_flow_maximum_at_t_star(self, fig2, fig2_payoff):
         # along the certainty flow x e^{(r/k1) t}, the discounted payoff
         # peaks exactly at t*

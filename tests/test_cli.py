@@ -564,6 +564,33 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: request too large to allocate: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_tiny_discount_without_horizon_exits_2_at_once(self, cfg_file):
+        # a fresh process: an infinite default horizon would never retire the
+        # paths that cannot reach y, and simulate would run until killed
+        cfg = {"family": "arithmetic", "drift": -0.3, "volatility": 0.4, "lambda": 1.0,
+               "jump_dist": {"kind": "exponential", "params": {"rate": 10.0}}, "r": 1e-310}
+        proc = subprocess.run([sys.executable, "-m", "levystop.cli", "simulate",
+                               "--config", cfg_file(cfg),
+                               "--x", "0", "--y", "0.3", "--n", "100", "--seed", "1"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: r = 1e-310 gives no finite default horizon; "
+                               "pass --horizon\n")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_subnormal_k1_tabulated_threshold_exits_3(self, capsys, cfg_file, command):
+        # k1 = 5e-324 makes the first-order cubic's companion matrix overflow
+        cfg = {"family": "arithmetic", "drift": 1.0, "volatility": 1.0, "lambda": 0,
+               "r": 5e-324, "payoff": {"kind": "tabulated", "params": {
+                   "breakpoints": [0.0, 1.0, 2.0], "values": [-1.0, 0.5, 2.0]}}}
+        extra = ["--param", "lambda", "--range", "0:1:3"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--config", cfg_file(cfg), *extra)
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical failure: first-order cubic of the piece at 0.0 "
+                       "is not finite at k1 = 5e-324\n")
+
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_bad_exponential_rate_names_its_law(self, capsys, cfg_file, rate):
         # exponential marks reuse the gamma law's maths, not its message

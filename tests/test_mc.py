@@ -197,6 +197,16 @@ class TestFirstPassage:
         assert np.isfinite(tau).any()
         assert (~np.isfinite(tau)).any()  # negative drift strands some paths
 
+    def test_tiny_discount_needs_horizon(self):
+        # ln(1e4) / r overflows for r below about 5e-308: an infinite default
+        # horizon would never retire a path that cannot get there
+        m = Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 1e-310)
+        with pytest.raises(InvalidModel, match="no finite default horizon; pass --horizon"):
+            default_horizon(m)
+        with pytest.raises(InvalidModel, match="pass --horizon"):
+            estimate_laplace(m, 0.0, 0.3, 100, seed=1)
+        assert estimate_laplace(m, 0.0, 0.3, 100, seed=1, horizon=50.0).horizon == 50.0
+
     def test_integer_start_and_barriers(self):
         # each pass writes the next distance into the position array: an int
         # start must still give a float one, and the same paths as its float
@@ -527,8 +537,10 @@ class TestReferenceStream:
         (fig2_model(), 2.3, np.linspace(2.0, 2.8, 17), 3000),
         # two chunks, concatenated
         (fig2_model(), 1.0, [1.5, 2.0, 2.4], 70_000),
+        # levels passed at time 0 are zeroed in the second chunk's columns too
+        (fig2_model(), 2.3, np.linspace(2.0, 2.8, 17), 70_000),
     ], ids=["fig2", "table1", "negative_engine_drift", "zero_engine_drift",
-            "start_inside_grid", "two_chunks"])
+            "start_inside_grid", "two_chunks", "start_inside_grid_two_chunks"])
     def test_first_passage_times_match(self, model, x, levels, n):
         got = first_passage_times(model, x, levels, n, seed=17)
         ref = _ref_first_passage_times(model, x, levels, n, seed=17)
