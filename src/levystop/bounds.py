@@ -19,12 +19,11 @@ collapse the jump model onto a continuous one that shares k1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
 
 from ._numpy import np
-from .errors import DomainError, SolverError
-from .model import Family, Model, Payoff
-from .roots import jump_transform, solve_k1
+from .errors import SolverError
+from .model import Model, Payoff
+from .roots import solve_k1
 from .stopping import ThresholdSolution, solve_threshold, value_fn
 
 __all__ = [
@@ -59,22 +58,17 @@ def adjusted_discount(model: Model, k1: float) -> float:
     """theta* in (r, r + lambda]: the discount a continuous diffusion with the
     compensated drift must carry to share the exponent k1."""
     lam = model.jump_intensity
-    return model.discount + lam * (1.0 - jump_transform(model, k1))
+    return model.discount + lam * (1.0 - model.mark_transform(k1))
 
 
 def adjusted_drift(model: Model, k1: float) -> float:
-    """Compensated drift enlarged so the root at r + lambda is k1.
-
-    Arithmetic: mu + gamma lambda mbar + (lambda/k1) E[e^{-gamma k1 Z}].
-    Geometric: the same correction applied to alpha + lambda mbar (the
-    per-unit drift coefficient).
-    """
-    return model.compensated_drift + (model.jump_intensity / k1) * jump_transform(model, k1)
+    """Compensated drift enlarged so the root at r + lambda is k1:
+    c + (lambda/k1) E[e^{-k1 W}]."""
+    return model.compensated_drift + (model.jump_intensity / k1) * model.mark_transform(k1)
 
 
 def certainty_growth(model: Model, k1: float) -> float:
-    """mu^ = r/k1: the sure drift dx = mu^ dt (arithmetic) or the sure
-    growth rate per unit state dx = mu^ x dt (geometric)."""
+    """mu^ = r/k1: the sure drift du = mu^ dt of the engine coordinate u."""
     model.require_positive_discount()
     if k1 <= 0:
         raise SolverError("certainty growth needs k1 > 0")
@@ -82,27 +76,20 @@ def certainty_growth(model: Model, k1: float) -> float:
 
 
 def certainty_time(model: Model, k1: float, x: float, x_star: float) -> float:
-    """t* = (1/r) ln(psi(x*)/psi(x))^+: deterministic ride time to the threshold."""
+    """t* = (1/r) ln(psi(x*)/psi(x))^+ = k1 (u(x*) - u(x))^+ / r: deterministic
+    ride time to the threshold."""
     model.require_positive_discount()
     if x >= x_star:
         return 0.0
-    if model.family is Family.ARITHMETIC:
-        gap = k1 * (x_star - x)
-    else:
-        if x <= 0:
-            raise DomainError("geometric state must be positive")
-        ratio = x_star / x  # overflows for a subnormal x; the logs do not
-        gap = k1 * (log(ratio) if isfinite(ratio) else log(x_star) - log(x))
-    return gap / model.discount
+    model.require_states(x)
+    return k1 * model.du(x_star, x) / model.discount
 
 
 def _default_grid(model: Model, payoff: Payoff, x_star_high: float) -> np.ndarray:
+    # from 5 below x0 (u = x), or from x0/2 (u = ln x), with 1/u'(x) = A + B x
     x0 = payoff.break_even()
-    if model.family is Family.ARITHMETIC:
-        lo = x0 - 5.0
-    else:
-        lo = 0.5 * x0
-    return np.linspace(lo, 1.5 * x_star_high, 200)
+    A, B = model.inv_du
+    return np.linspace(x0 - 5.0 * A - 0.5 * B * x0, 1.5 * x_star_high, 200)
 
 
 def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> SandwichReport:
@@ -126,8 +113,7 @@ def sandwich(model: Model, payoff: Payoff, grid: np.ndarray | None = None) -> Sa
     if grid is None:
         grid = _default_grid(model, payoff, sol_high.x_star)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if model.family is Family.GEOMETRIC:
-        grid = grid[grid >= 0.0]
+    grid = grid[grid >= model.state_floor]
 
     v, v_low, v_high = (value_fn(s, grid) for s in (sol, sol_low, sol_high))
     worst = float(np.max(np.maximum(v_low - v, v - v_high), initial=-np.inf))

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from math import exp, isfinite, log, sqrt
 
 from ._numpy import np
-from .errors import DomainError, InvalidModel
-from .model import Family, Model, Payoff, _as_float
+from .errors import InvalidModel
+from .model import Model, Payoff, _as_float
 
 __all__ = [
     "MCEstimate",
@@ -54,6 +54,7 @@ __all__ = [
 
 CHUNK = 1 << 16
 TERMINAL_DISCOUNT = 1e-4  # default horizon T solves e^{-rT} = this
+MAX_JUMP_GAPS = 1e4  # bound on lambda T: at it, 100 paths that never hit take about 1 s
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,16 @@ def default_horizon(model: Model) -> float:
 
 
 def _horizon(model: Model, horizon: float | None) -> float:
-    """The default horizon when none is given; otherwise it must be finite and positive."""
+    """The default horizon when none is given; otherwise it must be finite and
+    positive. Either way lambda T is at most MAX_JUMP_GAPS: a path that never
+    hits walks through about lambda T jump gaps, one engine pass each."""
     if horizon is None:
-        return default_horizon(model)
-    if not (isfinite(horizon) and horizon > 0):
+        horizon = default_horizon(model)
+    elif not (isfinite(horizon) and horizon > 0):
         raise InvalidModel(f"simulation horizon must be finite and positive, got {horizon}")
+    if model.jump_intensity * horizon > MAX_JUMP_GAPS:
+        raise InvalidModel(f"lambda * horizon = {model.jump_intensity * horizon:.6g} jump gaps "
+                           f"per path is above {MAX_JUMP_GAPS:g}; pass a shorter --horizon")
     return horizon
 
 
@@ -107,29 +113,16 @@ def _floats(x0, levels) -> tuple[float, np.ndarray]:
 
 
 def _engine_setup(model: Model, x0: float, levels: np.ndarray):
-    """Map state and barriers into engine space (identity or log)."""
+    """Map state and barriers into engine space u; the engine drift."""
     if not (isfinite(x0) and np.all(np.isfinite(levels))):
         raise InvalidModel("start and barriers must be finite")
-    if model.family is Family.GEOMETRIC:
-        if x0 <= 0 or np.any(levels <= 0):
-            raise DomainError("geometric states and barriers must be positive")
-        start = log(x0)
-        # a barrier at or below the start is passed at time 0, however log rounds
-        elevels = np.where(levels <= x0, -np.inf, np.log(levels))
-        drift = model.drift - 0.5 * model.volatility ** 2 \
-            + model.jump_intensity * model.mean_jump
-    else:
-        start = x0
-        elevels = np.asarray(levels, dtype=float)
-        drift = model.compensated_drift
-    return start, elevels, drift
+    # a barrier at or below the start is passed at time 0, however u rounds
+    elevels = np.where(levels <= x0, -np.inf, model.u(levels))
+    return model.u(x0), elevels, model.engine_drift
 
 
 def _jump_shift(model: Model, gen: np.random.Generator, size: int) -> np.ndarray:
-    z = model.jump_dist.sample(gen, size)
-    if model.family is Family.GEOMETRIC:
-        return np.log1p(-z)
-    return -model.jump_scale * z
+    return -model.marks(model.jump_dist.sample(gen, size))
 
 
 def _chunk_stream(seed: int, index: int) -> np.random.Generator:

@@ -22,8 +22,8 @@ Each type carries its own maths. A jump law has support, unit_marks(),
 mean(), sample(gen, size) and laplace(s) = E[e^{-sZ}]; laws with marks
 inside [0, 1) also have power(k) = E[(1-Z)^k] and log_mean() =
 E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x) (the right-hand
-g'), break_even() (x0) and threshold(k1, family) -> (x*, multiplier,
-unimodal), the maximizer of g/psi, see levystop.stopping.
+g'), break_even() (x0) and threshold(k1, model) -> (x*, multiplier,
+unimodal, smooth), the maximizer of g/psi, see Model and levystop.stopping.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .errors import (
     BadJumpSupport,
     BadPayoff,
     DivergentTransform,
+    DomainError,
     InvalidModel,
     NoFiniteThreshold,
     NonPositiveVolatility,
@@ -297,12 +298,14 @@ class CappedCall:
     def break_even(self) -> float:
         return self.I
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float | None, bool, bool]:
+    def threshold(self, k1: float, model: Model) -> tuple[float, float | None, bool, bool]:
+        """The interior root of (x - I) k1 u'(x) = 1, x = (k1 I + A)/(k1 - B)
+        with 1/u'(x) = A + B x, when k1 u'(K) (K - I) >= 1; else the cap K.
+        Only in u = ln x is it a multiple of I, k1/(k1 - 1)."""
         K, I = self.K, self.I
-        if family is Family.ARITHMETIC:
-            x, multiplier = (I + 1.0 / k1 if k1 >= 1.0 / (K - I) else K), None
-        elif k1 >= K / (K - I):
-            x, multiplier = k1 * I / (k1 - 1.0), k1 / (k1 - 1.0)
+        A, B = model.inv_du
+        if k1 * (K - I) >= A + B * K:
+            x, multiplier = (k1 * I + A) / (k1 - B), (k1 / (k1 - B) if B else None)
         else:
             x, multiplier = K, None
         return x, multiplier, True, x < K  # smooth fit fails at the cap's kink
@@ -334,7 +337,7 @@ class PowerCall:
     def break_even(self) -> float:
         return (self.K / self.a) ** (1.0 / self.b)
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, float, bool, bool]:
+    def threshold(self, k1: float, model: Model) -> tuple[float, float, bool, bool]:
         a, b, K = self.a, self.b, self.K
         if k1 <= b:
             raise NoFiniteThreshold(
@@ -500,26 +503,24 @@ class TabulatedPayoff:
     def break_even(self) -> float:
         return self._break_even
 
-    def threshold(self, k1: float, family: Family) -> tuple[float, None, bool, bool]:
+    def threshold(self, k1: float, model: Model) -> tuple[float, None, bool, bool]:
         """The exact maximizer of g/psi over (x0, inf), and whether it is the
         only local maximum: the best of the breakpoints above x0, the roots of
-        each piece's first-order cubic g' - k1 g (geometric: x g' - k1 g, with
-        g a cubic in s = x - b) and the linear tail's root, compared on
-        log g - k1 x (or - k1 ln x); ties go to the largest point. g is C1
+        each piece's first-order cubic (A + B x) g' - k1 g, with 1/u'(x) =
+        A + B x and g a cubic in s = x - b, and the linear tail's root,
+        compared on log g - k1 u(x); ties go to the largest point. g is C1
         above x0, so smooth fit holds there."""
-        bp, x0, geometric = self.breakpoints, self._break_even, family is Family.GEOMETRIC
+        bp, x0, (A, B) = self.breakpoints, self._break_even, model.inv_du
         v, m, end = self.values[-1], self._end_slope, bp[-1]
-        if geometric and m > 0 and (k1 < 1 or k1 == 1 and v <= m * end):
+        if m > 0 and (k1 < B or k1 == B and v <= m * end):
             raise NoFiniteThreshold("g/psi keeps increasing; sup not attained")
         points, signs = [], []  # candidates; slope signs between them, in order
         for (b, (c0, c1, c2, c3), _), hi in zip(self._pieces, bp[1:]):
             if hi <= x0:
                 continue
-            if geometric:
-                foc = (c3 * (3.0 - k1), c2 * (2.0 - k1) + 3.0 * b * c3,
-                       c1 * (1.0 - k1) + 2.0 * b * c2, b * c1 - k1 * c0)
-            else:
-                foc = (-k1 * c3, 3.0 * c3 - k1 * c2, 2.0 * c2 - k1 * c1, c1 - k1 * c0)
+            a = A + B * b  # 1/u'(b + s) = a + B s
+            foc = (c3 * (3.0 * B - k1), c2 * (2.0 * B - k1) + 3.0 * a * c3,
+                   c1 * (B - k1) + 2.0 * a * c2, a * c1 - k1 * c0)
             try:
                 roots = np.roots(foc)
             except np.linalg.LinAlgError:  # a subnormal or non-finite coefficient overflows
@@ -531,12 +532,8 @@ class TabulatedPayoff:
             ends = np.concatenate(([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi]))
             signs += np.sign(np.polyval(foc, 0.5 * (ends[:-1] + ends[1:]) - b)).tolist()
             points += ends[1:].tolist()
-        if m > 0 and not geometric:
-            tail = end + 1.0 / k1 - v / m
-        elif m > 0 and k1 > 1:
-            tail = k1 * (v - m * end) / (m * (1.0 - k1))
-        else:
-            tail = end  # no tail root: g/psi falls past the last breakpoint
+        # the linear tail's root: the capped call's, with I at the line's zero end - v/m
+        tail = (k1 * (end - v / m) + A) / (k1 - B) if m > 0 and k1 > B else end
         if tail > end:
             points.append(tail)
             signs.append(1.0)
@@ -546,7 +543,7 @@ class TabulatedPayoff:
         g = self.eval(xs)
         log_ratio = np.full(len(xs), -np.inf)
         pos = g > 0
-        log_ratio[pos] = np.log(g[pos]) - k1 * (np.log(xs[pos]) if geometric else xs[pos])
+        log_ratio[pos] = np.log(g[pos]) - k1 * model.u(xs[pos])
         best = len(xs) - 1 - int(np.argmax(log_ratio[::-1]))
         if not g[best] > 0:
             raise SolverError("tabulated threshold search ended at a nonpositive payoff")
@@ -574,11 +571,16 @@ def break_even(payoff: Payoff) -> float:
 
 @dataclass(frozen=True)
 class Model:
-    """Validated dynamics + discounting.
+    """Validated dynamics + discounting, and the map to the engine coordinate.
 
     drift is mu (arithmetic) or alpha (geometric); jump_scale is the
-    arithmetic gamma >= 0 and is pinned to 1 for geometric dynamics,
-    where the jump map is fixed at x -> x(1 - Z).
+    arithmetic gamma >= 0, pinned to 1 for geometric dynamics, where the
+    jump map is x -> x(1 - Z). In u = x (arithmetic) or ln x (geometric)
+    both families are one Levy process, u_t = u + (c - ito) t + sigma W_t
+    - sum W_i, with c the compensated drift, ito = B sigma^2/2, 1/u'(x) =
+    A + B x for (A, B) = inv_du, (1, 0) or (0, 1), and engine marks
+    W = gamma Z or -ln(1 - Z). The solvers know the family only through
+    the members below, whose constants are built once, with the model.
     """
 
     family: Family
@@ -588,6 +590,13 @@ class Model:
     jump_dist: JumpDist | None
     discount: float
     jump_scale: float = 1.0
+    mean_jump: float = field(init=False, repr=False, compare=False)  # mbar = E[Z]
+    inv_du: tuple[float, float] = field(init=False, repr=False, compare=False)
+    state_floor: float = field(init=False, repr=False, compare=False)  # u needs x above it
+    ito: float = field(init=False, repr=False, compare=False)
+    compensated_drift: float = field(init=False, repr=False, compare=False)
+    # c - ito, in the float order in which Monte Carlo replays stay bit for bit
+    engine_drift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
@@ -602,7 +611,8 @@ class Model:
             raise InvalidModel("discount rate must be nonnegative")
         if self.jump_intensity > 0 and self.jump_dist is None:
             raise InvalidModel("positive jump intensity needs a jump distribution")
-        if self.family is Family.GEOMETRIC:
+        log = self.family is Family.GEOMETRIC
+        if log:
             object.__setattr__(self, "jump_scale", 1.0)
             if self.jump_dist is not None:
                 if self.jump_dist.support[0] < 0 or not self.jump_dist.unit_marks():
@@ -614,17 +624,58 @@ class Model:
                 raise InvalidModel("jump scale must be nonnegative")
             if self.jump_dist is not None and self.jump_dist.support[0] < 0:
                 raise BadJumpSupport("arithmetic jump marks must be nonnegative")
+        mbar = 0.0 if self.jump_dist is None else self.jump_dist.mean()
+        object.__setattr__(self, "mean_jump", mbar)
+        object.__setattr__(self, "inv_du", (0.0, 1.0) if log else (1.0, 0.0))
+        object.__setattr__(self, "state_floor", 0.0 if log else -math.inf)
+        object.__setattr__(self, "ito", 0.5 * self.volatility ** 2 if log else 0.0)
+        compensator = self.jump_scale * self.jump_intensity * mbar
+        object.__setattr__(self, "compensated_drift", self.drift + compensator)
+        object.__setattr__(self, "engine_drift", self.drift - self.ito + compensator)
 
-    @property
-    def mean_jump(self) -> float:
-        """mbar = E[Z], zero when there are no jumps."""
-        return 0.0 if self.jump_dist is None else self.jump_dist.mean()
+    def u(self, x):
+        """The engine coordinate of states x, a float or an array: x, or ln x."""
+        if self.family is Family.ARITHMETIC:
+            return x
+        self.require_states(x)
+        return math.log(x) if isinstance(x, (int, float)) else np.log(x)
 
-    @property
-    def compensated_drift(self) -> float:
-        """Drift between jumps: mu + gamma*lambda*mbar, or alpha + lambda*mbar
-        (gamma is pinned to 1 for geometric dynamics)."""
-        return self.drift + self.jump_scale * self.jump_intensity * self.mean_jump
+    def du(self, a, b):
+        """u(a) - u(b), floats or arrays, a difference that does not overflow:
+        a - b, or ln(a/b), with ln a - ln b where a float a/b overflows."""
+        if self.family is Family.ARITHMETIC:
+            return a - b
+        if not isinstance(a, (int, float)):
+            with np.errstate(divide="ignore"):  # ln 0 = -inf, where psi vanishes
+                return np.log(a / b)
+        ratio = a / b
+        return math.log(ratio) if math.isfinite(ratio) else math.log(a) - math.log(b)
+
+    def require_states(self, x) -> None:
+        """DomainError unless every state in x, a float or an array, is above state_floor."""
+        below = x <= self.state_floor
+        if below if isinstance(x, (int, float)) else below.any():
+            raise DomainError(f"{self.family.value} states must be above {self.state_floor}")
+
+    def mark_transform(self, k: float) -> float:
+        """E[e^{-kW}]: E[e^{-gamma k Z}], or E[(1-Z)^k]; 1 without jumps."""
+        if self.jump_intensity == 0.0 or self.jump_dist is None:
+            return 1.0
+        if self.family is Family.GEOMETRIC:
+            return self.jump_dist.power(k)
+        return self.jump_dist.laplace(self.jump_scale * k)
+
+    def mark_mean(self) -> float:
+        """E[W]: gamma mbar, or -E[ln(1-Z)]; 0 without jumps."""
+        if self.jump_intensity == 0.0 or self.jump_dist is None:
+            return 0.0
+        if self.family is Family.GEOMETRIC:
+            return -self.jump_dist.log_mean()
+        return self.jump_scale * self.mean_jump
+
+    def marks(self, z: np.ndarray) -> np.ndarray:
+        """The engine jumps W of state marks z: gamma z, or -ln(1 - z)."""
+        return -np.log1p(-z) if self.family is Family.GEOMETRIC else self.jump_scale * z
 
     def require_positive_discount(self) -> None:
         if not self.discount > 0:

@@ -1,13 +1,13 @@
-"""Characteristic equations and their positive roots.
+"""The characteristic equation and its positive root.
 
-A candidate value function psi pins the exponent k1 > 0:
+A candidate value function psi = e^{k u}, in the engine coordinate u
+of levystop.model.Model, pins the exponent k1 > 0:
 
-  arithmetic  psi(x) = e^{k x}:
-      sigma^2 k^2 / 2 + (mu + gamma*lambda*mbar) k
-          + lambda E[e^{-gamma k Z}] - (r + lambda) = 0
-  geometric   psi(x) = x^k:
-      sigma^2 k(k-1) / 2 + (alpha + lambda*mbar) k
-          + lambda E[(1-Z)^k] - (r + lambda) = 0
+    sigma^2 k (k - B)/2 + c k + lambda E[e^{-kW}] - (r + lambda) = 0,
+
+one equation for both families (B = 0: psi = e^{kx}; B = 1: psi = x^k),
+with c the compensated drift and E[e^{-kW}] = E[e^{-gamma k Z}] or
+E[(1-Z)^k].
 
 Dropping the jump terms leaves a quadratic whose positive root has a
 closed form; the jump equation's root is sandwiched between the
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from math import copysign, exp, inf, isnan, sqrt
 
 from ._numpy import np
-from .errors import BracketFailure, DomainError, NoPositiveRoot, SolverError
-from .model import Family, Model
+from .errors import BracketFailure, NoPositiveRoot, SolverError
+from .model import Model
 
-__all__ = ["RootResult", "continuous_root", "jump_transform", "char_eq", "solve_k1",
-           "psi", "psi_ratio"]
+__all__ = ["RootResult", "continuous_root", "char_eq", "solve_k1", "psi", "psi_ratio"]
 
 
 @dataclass(frozen=True)
@@ -51,38 +50,19 @@ def continuous_root(model: Model, theta: float) -> float:
     """
     if theta < 0:
         raise SolverError("discount for the quadratic root must be nonnegative")
-    c = model.compensated_drift
     s2 = model.volatility ** 2
-    if model.family is Family.ARITHMETIC:
-        b = c
-    else:
-        b = c - 0.5 * s2
+    b = model.compensated_drift - model.ito
     disc = sqrt(b * b + 2.0 * theta * s2)
     if b > 0:
         return 2.0 * theta / (b + disc)
     return (disc - b) / s2
 
 
-def jump_transform(model: Model, k: float) -> float:
-    """The mark transform in the characteristic equation at exponent k:
-    E[e^{-gamma k Z}] (arithmetic) or E[(1-Z)^k] (geometric); 1 without jumps."""
-    if model.jump_intensity == 0.0 or model.jump_dist is None:
-        return 1.0
-    if model.family is Family.ARITHMETIC:
-        return model.jump_dist.laplace(model.jump_scale * k)
-    return model.jump_dist.power(k)
-
-
 def char_eq(model: Model, k: float) -> float:
     """Value of the characteristic equation's left side at exponent k."""
     lam = model.jump_intensity
-    s2 = model.volatility ** 2
-    c = model.compensated_drift
-    if model.family is Family.ARITHMETIC:
-        quad = 0.5 * s2 * k * k + c * k
-    else:
-        quad = 0.5 * s2 * k * (k - 1.0) + c * k
-    return quad + lam * jump_transform(model, k) - (model.discount + lam)
+    quad = 0.5 * model.volatility ** 2 * k * (k - model.inv_du[1]) + model.compensated_drift * k
+    return quad + lam * model.mark_transform(k) - (model.discount + lam)
 
 
 def _eq_scale(model: Model, k: float) -> float:
@@ -92,16 +72,11 @@ def _eq_scale(model: Model, k: float) -> float:
 
 
 def _zero_discount_slope(model: Model) -> float:
-    # d/dk of the characteristic equation at k = 0 with r = 0; its sign
-    # decides whether the r -> 0 root limit is 0 (upward passage certain)
-    # or a strictly positive root.
-    lam = model.jump_intensity
-    if model.family is Family.ARITHMETIC:
-        return model.drift
-    slope = model.compensated_drift - 0.5 * model.volatility ** 2
-    if lam > 0:
-        slope += lam * model.jump_dist.log_mean()
-    return slope
+    # d/dk of the characteristic equation at k = 0 with r = 0: its sign decides
+    # whether the r -> 0 root limit is 0 (upward passage certain) or positive.
+    # Netting gamma mbar against E[W] first keeps an arithmetic slope its drift.
+    return model.drift - model.ito + model.jump_intensity * (
+        model.jump_scale * model.mean_jump - model.mark_mean())
 
 
 def solve_k1(model: Model) -> RootResult:
@@ -220,18 +195,13 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 def psi(model: Model, k: float, x: float) -> float:
-    """Increasing solution e^{kx} (arithmetic) or x^k (geometric)."""
-    if model.family is Family.ARITHMETIC:
-        return exp(k * x)
-    if x <= 0:
-        raise DomainError("geometric psi needs x > 0")
-    return x ** k
+    """Increasing solution e^{k u(x)}: e^{kx} (arithmetic) or x^k (geometric)."""
+    return exp(k * model.u(x))
 
 
 def psi_ratio(model: Model, k: float, x, y: float):
-    """psi(x)/psi(y) clipped at y, e^{k(min(x, y) - y)} or (min(x, y)/y)^k: exactly
-    1 at and above y. One numpy expression, so a float, a 0-d array and each
-    element of an array give the same bits; a float for scalar x."""
-    x = np.minimum(x, y)
-    out = np.exp(k * (x - y)) if model.family is Family.ARITHMETIC else np.power(x / y, k)
+    """psi(x)/psi(y) clipped at y, e^{k (u(min(x, y)) - u(y))}: exactly 1 at and
+    above y. One numpy expression, so a float, a 0-d array and each element
+    of an array give the same bits; a float for scalar x."""
+    out = np.exp(k * model.du(np.asarray(np.minimum(x, y)), y))
     return out if out.ndim else float(out)

@@ -14,10 +14,11 @@ g(x*) psi'(x*)/psi(x*) - g'(x*+). The verdict is exact, not a tolerance
 on that gap: each payoff's threshold method reports whether g has a kink
 at x*, which above the break-even point only a capped call has, at K.
 
-Closed forms (each payoff's threshold method): CappedCall(K, I) on
-arithmetic dynamics stops at I + 1/k1 when k1 >= 1/(K - I) and at the
-cap otherwise; on geometric dynamics at k1 I/(k1 - 1) when
-k1 >= K/(K - I). PowerCall(a, b, K) needs k1 > b and stops at
+Closed forms (each payoff's threshold method, with psi = e^{k1 u} in the
+model's map u and 1/u'(x) = A + B x): CappedCall(K, I) stops where
+(x - I) k1 u'(x) = 1, at (k1 I + A)/(k1 - B), I + 1/k1 (arithmetic) or
+k1 I/(k1 - 1) (geometric), when k1 u'(K) (K - I) >= 1, else at the cap.
+PowerCall(a, b, K) needs k1 > b and stops at
 (k1 K / ((k1 - b) a))^{1/b}, i.e. the break-even point scaled by the
 multiplier (k1/(k1 - b))^{1/b}. Tabulated thresholds are exact too:
 PCHIP makes g a cubic on each piece and linear past the last breakpoint,
@@ -31,7 +32,7 @@ from math import isfinite
 
 from ._numpy import np
 from .errors import DomainError, NoFiniteThreshold, SolverError
-from .model import Family, Model, Payoff, validate
+from .model import Model, Payoff, validate
 from .roots import psi_ratio, solve_k1
 
 __all__ = ["ThresholdSolution", "solve_threshold", "stop_value", "value_fn"]
@@ -67,7 +68,7 @@ def solve_threshold(model: Model, payoff: Payoff,
     if not (k1 > 0 and isfinite(k1)):
         raise SolverError(f"threshold needs a positive finite exponent, got {k1}")
 
-    x_star, multiplier, unimodal, smooth = payoff.threshold(k1, model.family)
+    x_star, multiplier, unimodal, smooth = payoff.threshold(k1, model)
     if not isfinite(x_star):  # e.g. a power payoff whose break-even overflows
         raise NoFiniteThreshold(f"threshold is not finite: x* = {x_star}")
 
@@ -86,14 +87,10 @@ def solve_threshold(model: Model, payoff: Payoff,
 
 
 def _slope_sign(model: Model, payoff: Payoff, k1: float, x: float) -> float:
-    # sign-equivalent to d/dx [g/psi]: g'(x+) - g(x) psi'/psi, where psi'/psi
-    # is k1 for exponentials and k1/x for powers; psi times it is the
-    # first-order condition g'(x+) psi(x) - g(x) psi'(x)
-    if model.family is Family.GEOMETRIC:
-        if x <= 0:
-            raise DomainError("geometric state must be positive")
-        k1 = k1 / x
-    return payoff.deriv(x) - payoff.eval(x) * k1
+    # sign-equivalent to d/dx [g/psi]: g'(x+) - g(x) psi'/psi with psi'/psi = k1 u'(x)
+    # = k1/(A + B x); psi times it is the first-order condition g' psi - g psi'
+    A, B = model.inv_du
+    return payoff.deriv(x) - payoff.eval(x) * (k1 / (A + B * x))
 
 
 def stop_value(model: Model, payoff: Payoff, k1: float, x, y: float):
@@ -105,6 +102,7 @@ def stop_value(model: Model, payoff: Payoff, k1: float, x, y: float):
 def value_fn(solution: ThresholdSolution, x):
     """V(x), the stop-at-x* value: g(x) in the stopping region, g(x*)
     psi(x)/psi(x*) below. A float for scalar x, an array otherwise."""
-    if solution.model.family is Family.GEOMETRIC and np.any(np.asarray(x) < 0):
-        raise DomainError("geometric state must be nonnegative")
-    return stop_value(solution.model, solution.payoff, solution.k1, x, solution.x_star)
+    model = solution.model
+    if (np.asarray(x) < model.state_floor).any():  # psi's limit 0 there is a value
+        raise DomainError(f"{model.family.value} states must be at least {model.state_floor}")
+    return stop_value(model, solution.payoff, solution.k1, x, solution.x_star)

@@ -578,6 +578,24 @@ class TestExitCodes:
         assert proc.stderr == ("error: r = 1e-310 gives no finite default horizon; "
                                "pass --horizon\n")
 
+    @pytest.mark.parametrize("r, horizon", [("1e-300", []), ("1e-310", ["--horizon", "1e12"])],
+                             ids=["default", "explicit"])
+    def test_huge_horizon_exits_2_at_once(self, cfg_file, r, horizon):
+        # a fresh process: paths that cannot reach y walk through about
+        # lambda T jump gaps, one engine pass each, and a finite but huge T
+        # (9.2e300 by default at r = 1e-300) ran until killed
+        cfg = {"family": "arithmetic", "drift": -0.3, "volatility": 0.4, "lambda": 1.0,
+               "jump_dist": {"kind": "exponential", "params": {"rate": 10.0}}, "r": float(r)}
+        proc = subprocess.run([sys.executable, "-m", "levystop.cli", "simulate",
+                               "--config", cfg_file(cfg), *horizon,
+                               "--x", "0", "--y", "0.3", "--n", "100", "--seed", "1"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: lambda * horizon = ")
+        assert proc.stderr.endswith("; pass a shorter --horizon\n")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_subnormal_k1_tabulated_threshold_exits_3(self, capsys, cfg_file, command):
         # k1 = 5e-324 makes the first-order cubic's companion matrix overflow
@@ -825,14 +843,19 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 513
+        assert len(records) == 515
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}
         for r in errors.values():
             assert r["stdout"] == "" and r["stderr"].count("\n") == 1, r["request"]
-        failed = [r["request"] for r in records
-                  if r["request"] not in errors and (r["exit"] != 0 or r["stderr"])]
+        violated = {r["request"]: r for r in records if r["exit"] == 4}
+        assert list(violated) == ["not one threshold simulate grid assert"]
+        assert [r["stderr"] for r in violated.values()] == [
+            "statistical contract violated: a level beats stopping now beyond 3 stderr "
+            "+ truncation\n"]
+        failed = [r["request"] for r in records if r["request"] not in errors
+                  and r["request"] not in violated and (r["exit"] != 0 or r["stderr"])]
         assert failed == []
 
 
@@ -896,6 +919,20 @@ class TestCorpusDiff:
         assert was == pytest.approx(2.6, abs=0.05)
         assert now - was == pytest.approx(2.0, abs=1e-6)
         assert lines[-1].startswith("verdict: 1 moved k1, worst |error| old ")
+        # two more roots, so that each side's median differs from its worst
+        ulp = math.ulp(self.K1)
+        for name, a, b in (("json2", -6, -1), ("json3", 10, -3)):
+            for corpus, shift in ((old, a), (new, b)):
+                corpus[name] = dict(corpus["json"], request=name,
+                                    stdout=json.dumps({"k1": self.K1 + shift * ulp}) + "\n")
+        buf = io.StringIO()
+        diff.report(old, new, verdict=True, out=buf)
+        summary = buf.getvalue().splitlines()[-1]
+        assert summary.startswith("verdict: 3 moved k1, worst |error| old ")
+        worst_old, worst_new, median_old, median_new = (
+            float(v) for v in re.findall(r"([0-9.]+) ulp", summary))
+        assert (worst_old, worst_new) == pytest.approx((was + 10, now), abs=0.11)
+        assert (median_old, median_new) == pytest.approx((6 - was, now - 3), abs=0.11)
 
 
 class TestStderrOutsidePytest:

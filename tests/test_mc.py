@@ -28,8 +28,9 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import (CHUNK, _chunk_stream, _engine_setup, _fitted_argmax, _gap_end, _jump_shift,
-                         _passage, _stop_at, simulate_to_threshold)
+from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _engine_setup, _fitted_argmax,
+                         _gap_end, _horizon, _jump_shift, _passage, _stop_at,
+                         simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -206,6 +207,17 @@ class TestFirstPassage:
         with pytest.raises(InvalidModel, match="pass --horizon"):
             estimate_laplace(m, 0.0, 0.3, 100, seed=1)
         assert estimate_laplace(m, 0.0, 0.3, 100, seed=1, horizon=50.0).horizon == 50.0
+
+    def test_huge_horizon_is_refused(self):
+        # a path that never hits walks through about lambda T jump gaps, one
+        # engine pass each: a finite but huge T ran until killed
+        m = Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 1e-300)
+        with pytest.raises(InvalidModel, match="pass a shorter --horizon"):
+            estimate_laplace(m, 0.0, 0.3, 100, seed=1)  # default T = 9.2e300
+        with pytest.raises(InvalidModel, match="pass a shorter --horizon"):
+            first_passage_times(m, 0.0, [0.3], 100, seed=1, horizon=MAX_JUMP_GAPS * 1.000001)
+        assert _horizon(m, MAX_JUMP_GAPS) == MAX_JUMP_GAPS  # lambda = 1: at the bound
+        assert _horizon(replace(m, jump_intensity=0.0), 1e300) == 1e300  # no jumps, no passes
 
     def test_integer_start_and_barriers(self):
         # each pass writes the next distance into the position array: an int

@@ -336,6 +336,33 @@ def jump_models(draw):
         assume(False)
 
 
+def log_marks(dist):
+    """The arithmetic law of W = -ln(1 - Z) for a point-mass or tabulated law of Z."""
+    if isinstance(dist, PointMassJumps):
+        return PointMassJumps(-math.log1p(-dist.z))
+    return TabulatedJumps(tuple(-math.log1p(-z) for z in dist.nodes), dist.weights)
+
+
+class TestOneEngineSpace:
+    """A geometric model is the arithmetic one in u = ln x: marks W = -ln(1 - Z),
+    jump_scale 1, and the drift with the same u-drift between jumps."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(alpha=st.floats(0.003, 0.09), sigma=st.floats(0.05, 0.5), lam=st.floats(0.0, 0.4),
+           r=st.floats(0.01, 0.12),
+           dist=st.one_of(st.builds(PointMassJumps, st.floats(0.01, 0.95)), tabulated_jumps(0.95)),
+           k=st.floats(0.05, 5.0), x=st.floats(0.1, 10.0), y=st.floats(0.1, 10.0))
+    def test_geometric_is_arithmetic_in_log_state(self, alpha, sigma, lam, r, dist, k, x, y):
+        geo = Model(Family.GEOMETRIC, alpha, sigma, lam, dist, r)
+        marks = log_marks(dist)
+        # mu + lambda E[W] = alpha - sigma^2/2 + lambda E[Z]
+        mu = alpha - 0.5 * sigma ** 2 + lam * (dist.mean() - marks.mean())
+        arith = Model(Family.ARITHMETIC, mu, sigma, lam, marks, r, jump_scale=1.0)
+        assert solve_k1(arith).k1 == pytest.approx(solve_k1(geo).k1, rel=1e-12)
+        assert roots.psi_ratio(geo, k, x, y) == pytest.approx(
+            roots.psi_ratio(arith, k, math.log(x), math.log(y)), rel=1e-14)
+
+
 class TestBrentAgainstScipy:
     """roots._brentq ports scipy's brentq; scipy itself is the reference."""
 

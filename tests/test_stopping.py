@@ -298,7 +298,7 @@ class TestTabulated:
     def test_no_worse_than_mpmath_maximum(self, problem):
         family, k1, payoff = problem
         geometric = family is Family.GEOMETRIC
-        x_star, multiplier, _, _ = payoff.threshold(k1, family)
+        x_star, multiplier, _, _ = payoff.threshold(k1, Model(family, 0.03, 0.1, 0.0, None, 0.05))
         assert multiplier is None
         assert x_star > payoff.break_even()
         best = mp_maximum(payoff, k1, geometric)

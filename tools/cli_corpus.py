@@ -8,15 +8,17 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (513 requests):
+The corpus (515 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
   - solve --grid, a capped-call override, a two-peak tabulated payoff, a
     tabulated payoff whose PCHIP tail is flat, and on the README config
     solve --x=0.429 beside simulate --x 0.429 --y x* (its target_analytic
-    is solve's value), all six reproduce targets at --precision 2 and
-    full, and two error cases (exit 2 and exit 3);
+    is solve's value), with and without --assert (exit 0), simulate --grid
+    --assert on a tabulated payoff where one threshold is not optimal
+    (exit 4), all six reproduce targets at --precision 2 and full, and two
+    error cases (exit 2 and exit 3);
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
     barrier, and --grid from below every level, then --grid from a start
@@ -50,6 +52,12 @@ FLAT_END = {"family": "geometric", "drift": 0.04, "volatility": 0.1, "lambda": 0
             "payoff": {"kind": "tabulated", "params": {
                 "breakpoints": [0.5, 1.0, 1.01, 1.5], "values": [-0.5, 0.0, 5.0, 5.1]}}}
 README_X_STAR = "2.3886163117354204"  # solve's x_star on the README config
+# g/psi peaks at 0.914, but stopping on [0.913, 1.500] and above 2.795 is worth more: from
+# x = 2.6 a level of the grid beats stopping now, so simulate --assert exits 4
+NOT_ONE_THRESHOLD = {"family": "arithmetic", "drift": 0.04, "volatility": 0.3, "lambda": 0.0,
+                     "r": 0.05, "payoff": {"kind": "tabulated", "params": {
+                         "breakpoints": [0.0, 1.0, 2.0, 2.6, 2.8, 3.0, 6.0],
+                         "values": [-1.0, 0.9, 1.0, 1.02, 1.8, 1.9, 2.5]}}}
 
 
 def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
@@ -77,6 +85,12 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
         ("readme solve x=0.429", readme, ["solve", "--x=0.429"]),
         ("readme simulate y=x_star", readme,
          ["simulate", "--x", "0.429", "--y", README_X_STAR, "--n", "2000", "--seed", "1"]),
+        ("readme simulate y=x_star assert", readme,
+         ["simulate", "--x", "0.429", "--y", README_X_STAR, "--n", "2000", "--seed", "1",
+          "--assert"]),
+        ("not one threshold simulate grid assert", NOT_ONE_THRESHOLD,
+         ["simulate", "--x", "2.6", "--grid", "2.6:3.0:9", "--n", "20000", "--seed", "1",
+          "--assert"]),
     ]
     out += [(f"reproduce {t} {p}", None, ["reproduce", "--target", t, "--precision", p])
             for t in TARGETS for p in ("2", "full")]

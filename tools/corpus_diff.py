@@ -15,7 +15,8 @@ line of its own.
   --verdict     re-solve every moved k1 (the k1 of root and solve, the k1
                 column of sweep) in mpmath at 40 digits, with the equation
                 of perfbench/checks.py, and print each side's error in units
-                in the last place of the exact root.
+                in the last place of the exact root, then each side's worst
+                and median |error|.
 
 Exits 0 when every request is identical, 1 otherwise.
 """
@@ -27,6 +28,7 @@ import importlib.util
 import io
 import json
 import math
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -162,8 +164,7 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
         spec = importlib.util.spec_from_file_location("checks", ROOT / "perfbench" / "checks.py")
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
-    worst = [0.0, 0.0]
-    n_roots = 0
+    errors = []  # (old, new) error in ulps of each moved k1
     for name in moved:
         a, b = old[name], new[name]
         print(f"moved: {name}", file=out)
@@ -175,17 +176,18 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
             print(f"  {key}: {was!r} -> {now!r}{change(was, now)}", file=out)
         if verdict:
             for label, cfg, was, now in k1_cases(b, changes):
-                errors = errors_in_ulps(cfg, was, now, checks)
-                worst = [max(w, abs(e)) for w, e in zip(worst, errors)]
-                n_roots += 1
-                print(f"  verdict {label}: old {errors[0]:+.1f} ulp, new {errors[1]:+.1f} ulp",
-                      file=out)
+                errors.append(errors_in_ulps(cfg, was, now, checks))
+                print(f"  verdict {label}: old {errors[-1][0]:+.1f} ulp, "
+                      f"new {errors[-1][1]:+.1f} ulp", file=out)
     for label, names in (("added", added), ("removed", removed)):
         for name in names:
             print(f"{label}: {name}", file=out)
     if verdict:
-        print(f"verdict: {n_roots} moved k1, worst |error| old {worst[0]:.1f} ulp, "
-              f"new {worst[1]:.1f} ulp", file=out)
+        sides = [[abs(e) for e in side] for side in zip(*errors)] or [[0.0], [0.0]]
+        print(f"verdict: {len(errors)} moved k1, worst |error| old {max(sides[0]):.1f} ulp, "
+              f"new {max(sides[1]):.1f} ulp; median |error| old "
+              f"{statistics.median(sides[0]):.1f} ulp, new {statistics.median(sides[1]):.1f} ulp",
+              file=out)
     return 0 if len(same) == len(old) == len(new) else 1
 
 
