@@ -85,16 +85,17 @@ def _csv_text(header: list[str], rows, trailer=()) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout when out is None."""
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidModel(f"cannot write output: {exc}") from None
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) output: every file first, then, in order, the
+    texts whose path is None to stdout, so a failed write leaves stdout empty."""
+    for text, out in outputs:
+        if out is not None:
+            try:
+                with open(out, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InvalidModel(f"cannot write output: {exc}") from None
+    sys.stdout.write("".join(text for text, out in outputs if out is None))
 
 
 def _finite(args, name: str) -> float | None:
@@ -125,15 +126,8 @@ def _problem(args) -> tuple[Model, Payoff]:
 
 def cmd_root(args) -> int:
     model, payoff = _read_config(args.config)
-    result = solve_k1(model)
-    _emit(_json_text({
-        "model": model_to_config(model, payoff),
-        "k1": result.k1,
-        "bracket_low": result.bracket_low,
-        "bracket_high": result.bracket_high,
-        "residual": result.residual,
-        "iterations": result.iterations,
-    }), args.out)
+    root = vars(solve_k1(model))  # RootResult's fields, in order
+    _emit((_json_text({"model": model_to_config(model, payoff), **root}), args.out))
     return 0
 
 
@@ -168,15 +162,12 @@ def cmd_solve(args) -> int:
         payload["x"] = args.x
         payload["value"] = value_fn(sol, args.x)
         payload["certainty_time"] = bounds.certainty_time(model, sol.k1, args.x, sol.x_star)
-    text = _json_text(payload)
+    outputs = [(_json_text(payload), args.out)]
     if args.csv is not None:
         rows = np.column_stack((report.grid, report.v_low, report.v, report.v_high)).tolist()
-        grid_csv = _csv_text(["x", "v_low", "v", "v_high"], rows)
-        if args.csv != "-":  # files before stdout: a failed write leaves stdout empty
-            _emit(grid_csv, args.csv)
-    _emit(text, args.out)
-    if args.csv == "-":
-        _emit(grid_csv, None)
+        outputs.append((_csv_text(["x", "v_low", "v", "v_high"], rows),
+                        None if args.csv == "-" else args.csv))
+    _emit(*outputs)
     return 0
 
 
@@ -191,7 +182,7 @@ def cmd_reproduce(args) -> int:
         columns = getattr(reproduce, args.target)()
         header = list(columns)
         rows = np.column_stack(list(columns.values())).tolist()
-    _emit(_csv_text(header, rows), args.out)
+    _emit((_csv_text(header, rows), args.out))
     return 0
 
 
@@ -219,7 +210,8 @@ def cmd_sweep(args) -> int:
         return "not_monotone"
 
     trailer = [f"k1 {direction(1)}", f"x_star {direction(2)}"]
-    _emit(_csv_text([args.param, "k1", "x_star", "theta_star", "mu_hat"], rows, trailer), args.out)
+    header = [args.param, "k1", "x_star", "theta_star", "mu_hat"]
+    _emit((_csv_text(header, rows, trailer), args.out))
     return 0
 
 
@@ -268,19 +260,11 @@ def cmd_simulate(args) -> int:
             est = mc.estimate_laplace(model, args.x, args.y, args.n, args.seed,
                                       args.horizon)
             target = psi_ratio(model, root.k1, args.x, args.y)
-        payload = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "n_paths": est.n_paths,
-            "horizon": est.horizon,
-            "truncation_bound": est.truncation_bound,
-            "seed": est.seed,
-            "target_analytic": target,
-            "z_score": 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr,
-        }
+        payload = {**vars(est), "target_analytic": target,
+                   "z_score": 0.0 if est.stderr == 0 else (est.mean - target) / est.stderr}
         violated = abs(est.mean - target) > 3.0 * est.stderr + est.truncation_bound
         verdict = "estimate beyond 3 stderr + truncation"
-    _emit(_json_text(payload), args.out)
+    _emit((_json_text(payload), args.out))
     if args.do_assert and violated:
         print(f"statistical contract violated: {verdict}", file=sys.stderr)
         return 4
@@ -334,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[config],
                            help="Monte Carlo first-passage cross-check")
     p_sim.add_argument("--x", type=float, required=True)
-    p_sim.add_argument("--y", type=float)
-    p_sim.add_argument("--grid", help="threshold grid lo:hi:n")
+    target = p_sim.add_mutually_exclusive_group()  # neither: cmd_simulate exits 2
+    target.add_argument("--y", type=float)
+    target.add_argument("--grid", help="threshold grid lo:hi:n")
     p_sim.add_argument("--n", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float)

@@ -103,22 +103,17 @@ def _horizon(model: Model, horizon: float | None) -> float:
     return horizon
 
 
-def _floats(x0, levels) -> tuple[float, np.ndarray]:
-    """The start as a float, an int beyond the float range read as inf, and
-    the barriers as a 1-d float array; _engine_setup rejects what is not finite."""
+def _engine_inputs(model: Model, x0, levels) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """The start as a float and the barriers as a 1-d float array, both
+    finite (an int beyond the float range is not), and both in engine space u."""
     try:
-        return _as_float(x0), np.atleast_1d(np.asarray(levels, dtype=float))
+        x0, levels = _as_float(x0), np.atleast_1d(np.asarray(levels, dtype=float))
     except OverflowError:  # a barrier int beyond the float range
         raise InvalidModel("start and barriers must be finite") from None
-
-
-def _engine_setup(model: Model, x0: float, levels: np.ndarray):
-    """Map state and barriers into engine space u; the engine drift."""
     if not (isfinite(x0) and np.all(np.isfinite(levels))):
         raise InvalidModel("start and barriers must be finite")
     # a barrier at or below the start is passed at time 0, however u rounds
-    elevels = np.where(levels <= x0, -np.inf, model.u(levels))
-    return model.u(x0), elevels, model.engine_drift
+    return x0, levels, model.u(x0), np.where(levels <= x0, -np.inf, model.u(levels))
 
 
 def _jump_shift(model: Model, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -231,10 +226,10 @@ def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.nda
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels: np.ndarray,
-                    drift: float, horizon: float, tau: np.ndarray, lo: int, n: int) -> None:
+                    horizon: float, tau: np.ndarray, lo: int, n: int) -> None:
     """Write n paths into columns lo:lo + n of tau (level-major, inf where not reached)."""
     m, width = tau.shape
-    sigma = model.volatility
+    drift, sigma = model.engine_drift, model.volatility
     lam = model.jump_intensity
     cells = tau.reshape(-1)[lo:]  # a view: level j, row i is cell j * width + i
     gap = np.minimum(gen.exponential(1.0 / lam, n), horizon) if lam > 0 else np.full(n, horizon)
@@ -280,6 +275,30 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
                 rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
 
 
+def _request(model: Model, x0, levels, n: int, seed: int,
+             horizon: float | None) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Check a first-passage request and run it: the start and barriers as
+    floats, the level-major passage times (inf where not reached) and the
+    horizon."""
+    x0, levels, start, elevels = _engine_inputs(model, x0, levels)
+    if np.any(np.diff(levels) <= 0):
+        raise InvalidModel("barriers must be strictly increasing")
+    if n <= 1:
+        raise InvalidModel("need at least 2 paths")
+    if seed < 0:  # SeedSequence takes nonnegative entropy only
+        raise InvalidModel(f"seed must be nonnegative, got {seed}")
+    horizon = _horizon(model, horizon)
+    # the whole result first, so that an n beyond memory fails before any path runs
+    try:
+        tau = np.full((len(levels), n), np.inf)
+    except ValueError as exc:  # more cells than an array can hold
+        raise InvalidModel(f"{n} paths are too many: {exc}") from None
+    for index, lo in enumerate(range(0, n, CHUNK)):
+        _simulate_chunk(model, _chunk_stream(seed, index), start, elevels, horizon,
+                        tau, lo, min(CHUNK, n - lo))
+    return x0, levels, tau, horizon
+
+
 def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
                         horizon: float | None = None) -> np.ndarray:
     """First-passage times over each ascending barrier; inf where not reached.
@@ -288,45 +307,26 @@ def first_passage_times(model: Model, x0: float, levels, n: int, seed: int,
     tau is nondecreasing along each row by construction. The (n, m) result
     is a transposed view of a level-major array.
     """
-    x0, levels = _floats(x0, levels)
-    if np.any(np.diff(levels) <= 0):
-        raise InvalidModel("barriers must be strictly increasing")
-    if n <= 1:
-        raise InvalidModel("need at least 2 paths")
-    if seed < 0:  # SeedSequence takes nonnegative entropy only
-        raise InvalidModel(f"seed must be nonnegative, got {seed}")
-    horizon = _horizon(model, horizon)
-    start, elevels, drift = _engine_setup(model, x0, levels)
-    # the whole result first, so that an n beyond memory fails before any path runs
-    try:
-        tau = np.full((len(levels), n), np.inf)
-    except ValueError as exc:  # more cells than an array can hold
-        raise InvalidModel(f"{n} paths are too many: {exc}") from None
-    for index, lo in enumerate(range(0, n, CHUNK)):
-        _simulate_chunk(model, _chunk_stream(seed, index), start, elevels, drift, horizon,
-                        tau, lo, min(CHUNK, n - lo))
-    return tau.T
+    return _request(model, x0, levels, n, seed, horizon)[2].T
 
 
 def simulate_to_threshold(model: Model, x0: float, y: float, horizon: float,
                           rng: np.random.Generator) -> float:
     """One path's passage time over y on a caller-supplied stream; inf when
     the horizon comes first. A hit lands on y exactly: jumps only go down."""
-    horizon = _horizon(model, horizon)
-    start, elevels, drift = _engine_setup(model, *_floats(x0, y))
+    _, _, start, elevels = _engine_inputs(model, x0, y)
     tau = np.full((1, 1), np.inf)
-    _simulate_chunk(model, rng, start, elevels, drift, horizon, tau, 0, 1)
+    _simulate_chunk(model, rng, start, elevels, _horizon(model, horizon), tau, 0, 1)
     return float(tau[0, 0])
 
 
-def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
-             horizon: float | None) -> tuple[list[MCEstimate], np.ndarray]:
-    """g_j E[e^{-r tau_j}], stopping at the first passage over each ascending
-    barrier, from one shared path set, and the level-major discount factors
-    e^{-r tau} (0 where not reached). A barrier at or below x is passed at
-    tau = 0, so its estimate is g_j exactly, with zero standard error."""
-    tau = first_passage_times(model, x, levels, n, seed, horizon).T  # contiguous level rows
-    horizon = _horizon(model, horizon)
+def _stop_at(model: Model, tau: np.ndarray, gvals, seed: int,
+             horizon: float) -> tuple[list[MCEstimate], np.ndarray]:
+    """g_j E[e^{-r tau_j}] from row j of the level-major passage times tau,
+    and the discount factors e^{-r tau} (0 where not reached), written over
+    tau. A barrier at or below the start is passed at tau = 0, so its
+    estimate is g_j exactly, with zero standard error."""
+    n = tau.shape[1]
     censored = [float(np.isinf(row).mean()) for row in tau]
     if model.discount > 0:  # in place: e^{-r inf} = 0 needs no mask
         tau *= -model.discount
@@ -345,7 +345,8 @@ def _stop_at(model: Model, x: float, levels, gvals, n: int, seed: int,
 def estimate_laplace(model: Model, x: float, y: float, n: int, seed: int,
                      horizon: float | None = None) -> MCEstimate:
     """E[e^{-r tau_y}] from x: psi(x)/psi(y) below y, 1 at or above it."""
-    return _stop_at(model, x, [y], [1.0], n, seed, horizon)[0][0]
+    _, _, tau, horizon = _request(model, x, y, n, seed, horizon)
+    return _stop_at(model, tau, [1.0], seed, horizon)[0][0]
 
 
 def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed: int,
@@ -356,8 +357,8 @@ def policy_value(model: Model, payoff: Payoff, x: float, y: float, n: int, seed:
     barrier is crossed continuously and X_tau = y on every hit. From a
     start at or above y the policy stops at once and is worth g(x).
     """
-    x, y = _as_float(x), _as_float(y)  # g of an int beyond the float range would overflow
-    return _stop_at(model, x, [y], [payoff.eval(max(x, y))], n, seed, horizon)[0][0]
+    x, (y,), tau, horizon = _request(model, x, y, n, seed, horizon)
+    return _stop_at(model, tau, [payoff.eval(max(x, float(y)))], seed, horizon)[0][0]
 
 
 def _fitted_argmax(thresholds: np.ndarray, means: np.ndarray, x: float,
@@ -411,9 +412,9 @@ def threshold_grid_search(model: Model, payoff: Payoff, x: float, thresholds, n:
     (see _fitted_argmax). A level at or below x is worth g(x), as in
     policy_value.
     """
-    x, thresholds = _floats(x, thresholds)
+    x, thresholds, tau, horizon = _request(model, x, thresholds, n, seed, horizon)
     gvals = payoff.eval(np.maximum(thresholds, x))
-    estimates, disc = _stop_at(model, x, thresholds, gvals.tolist(), n, seed, horizon)
+    estimates, disc = _stop_at(model, tau, gvals.tolist(), seed, horizon)
     best, y_fit = _fitted_argmax(thresholds, np.array([e.mean for e in estimates]), x,
                                  lambda rows: gvals[rows, None] * disc[rows])
     return GridSearchResult(thresholds=tuple(float(v) for v in thresholds),

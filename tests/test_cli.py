@@ -350,6 +350,16 @@ class TestSimulate:
         assert code == 2
         assert "--y or --grid" in err
 
+    def test_target_and_grid_are_exclusive(self, capsys, cfg_file):
+        # both flags once ran the grid and dropped --y without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg_file(FIG2_CFG), "--x", "1", "--y", "2.5",
+                  "--grid", "2:3:3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --grid: not allowed with argument --y" in captured.err
+
     def test_grid_search_report(self, capsys, cfg_file):
         code, out, _ = run_cli(capsys, "simulate", "--config", cfg_file(FIG2_CFG),
                                "--x", "1.0", "--grid", "2.0:2.8:5", "--n", "4000",
@@ -933,6 +943,38 @@ class TestCorpusDiff:
             float(v) for v in re.findall(r"([0-9.]+) ulp", summary))
         assert (worst_old, worst_new) == pytest.approx((was + 10, now), abs=0.11)
         assert (median_old, median_new) == pytest.approx((6 - was, now - 3), abs=0.11)
+
+    def test_verdict_judges_closed_form_thresholds(self):
+        # g = (x - 1)^+ on the geometric family: x* = k/(k - 1) at each printed root,
+        # 3 at k1 = 1.5, 2 at bracket_high = 2 and 5 at bracket_low = 1.25
+        diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")
+        payload = {"model": dict(FIG2_CFG), "k1": 1.5, "bracket_low": 1.25, "bracket_high": 2.0,
+                   "x_star": 3.0, "x_star_low": 2.0, "x_star_high": 5.0}
+        old = {"request": "solve", "argv": ["solve", "--config", json.dumps(FIG2_CFG)],
+               "exit": 0, "stdout": json.dumps(payload) + "\n", "stderr": ""}
+        moved = dict(payload, x_star=math.nextafter(3.0, 4.0), x_star_low=2.0 - 2 * math.ulp(2.0))
+        new = dict(old, stdout=json.dumps(moved) + "\n")
+        buf = io.StringIO()
+        assert diff.report({"solve": old}, {"solve": new}, verdict=True, out=buf) == 1
+        lines = buf.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("  verdict ")] == [
+            "  verdict x_star from k1: old +0.0 ulp, new +1.0 ulp",
+            "  verdict x_star_low from bracket_high: old +0.0 ulp, new -2.0 ulp"]
+        assert lines[-2] == ("verdict: 2 moved closed-form thresholds (0 more not judged), "
+                             "worst |error| old 0.0 ulp, new 2.0 ulp; "
+                             "median |error| old 0.0 ulp, new 1.5 ulp")
+        # a tabulated threshold has no closed form to judge it by
+        tabulated = {"kind": "tabulated",
+                     "params": {"breakpoints": [0.5, 1.0, 2.0], "values": [-0.5, 0.0, 1.0]}}
+        for record in (old, new):
+            obj = json.loads(record["stdout"])
+            obj["model"]["payoff"] = tabulated
+            record["stdout"] = json.dumps(obj) + "\n"
+        buf = io.StringIO()
+        diff.report({"solve": old}, {"solve": new}, verdict=True, out=buf)
+        lines = buf.getvalue().splitlines()
+        assert "  verdict x_star from k1: not judged (tabulated payoff)" in lines
+        assert lines[-2].startswith("verdict: 0 moved closed-form thresholds (2 more not judged)")
 
 
 class TestStderrOutsidePytest:

@@ -28,8 +28,8 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _engine_setup, _fitted_argmax,
-                         _gap_end, _horizon, _jump_shift, _passage, _stop_at,
+from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _engine_inputs, _fitted_argmax,
+                         _gap_end, _horizon, _jump_shift, _passage, _request, _stop_at,
                          simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
@@ -101,7 +101,7 @@ class TestLaplaceEstimate:
         (Model(Family.GEOMETRIC, 0.005, 0.1, 0.0, None, 0.05), 1.0, 1.5, -1.0),
     ], ids=["negative_engine_drift", "zero_engine_drift", "rounding_engine_drift"])
     def test_nonpositive_engine_drift_matches_analytic(self, model, x, y, drift_sign):
-        assert np.sign(_engine_setup(model, x, np.array([y]))[2]) == drift_sign
+        assert np.sign(model.engine_drift) == drift_sign
         k1 = solve_k1(model).k1
         est = estimate_laplace(model, x, y, 20_000, seed=19)
         target = psi(model, k1, x) / psi(model, k1, y)
@@ -240,6 +240,48 @@ class TestFirstPassage:
             assert abs(est.mean - target) <= 4.0 * est.stderr + est.truncation_bound
             out[name] = est.mean
         assert out["storm"] > out["calm"]
+
+
+_ENTRIES = {  # each entry point, called with a request's start, barriers, n, seed and horizon
+    "first_passage_times": lambda m, g, x, lv, n, s, h: first_passage_times(m, x, lv, n, s, h),
+    "estimate_laplace": lambda m, g, x, lv, n, s, h: estimate_laplace(m, x, lv[-1], n, s, h),
+    "policy_value": lambda m, g, x, lv, n, s, h: policy_value(m, g, x, lv[-1], n, s, h),
+    "threshold_grid_search":
+        lambda m, g, x, lv, n, s, h: threshold_grid_search(m, g, x, lv, n, s, h),
+    "simulate_to_threshold": lambda m, g, x, lv, n, s, h: simulate_to_threshold(
+        m, x, lv[-1], h, np.random.Generator(np.random.Philox(0))),
+}
+_SEEDED = list(_ENTRIES)[:4]  # simulate_to_threshold takes no path count or seed
+
+
+class TestOneRequestPath:
+    """A request with one fault fails alike from every entry that takes the
+    faulty input: one class, one message."""
+
+    @pytest.mark.parametrize("fault, error, message, entries", [
+        ({"x": math.nan}, InvalidModel, "start and barriers must be finite", _ENTRIES),
+        ({"levels": [2.0, 10 ** 400]}, InvalidModel, "start and barriers must be finite",
+         _ENTRIES),
+        ({"levels": [2.5, 2.0]}, InvalidModel, "barriers must be strictly increasing",
+         ["first_passage_times", "threshold_grid_search"]),
+        ({"n": 1}, InvalidModel, "need at least 2 paths", _SEEDED),
+        ({"seed": -1}, InvalidModel, "seed must be nonnegative, got -1", _SEEDED),
+        ({"horizon": 0.0}, InvalidModel,
+         "simulation horizon must be finite and positive, got 0.0", _ENTRIES),
+        ({"horizon": 1e6}, InvalidModel,  # lambda = 0.02: 2e4 jump gaps
+         "lambda * horizon = 20000 jump gaps per path is above 10000; "
+         "pass a shorter --horizon", _ENTRIES),
+        ({"x": 0.0}, DomainError, "geometric states must be above 0.0", _ENTRIES),
+    ], ids=["nan_start", "int_barrier_beyond_float", "barriers_not_increasing", "one_path",
+            "negative_seed", "zero_horizon", "too_many_jump_gaps", "geometric_start_at_zero"])
+    def test_same_error_from_every_entry(self, fig2, fig2_payoff, fault, error, message,
+                                         entries):
+        request = dict({"x": 1.0, "levels": [2.0, 2.5], "n": 100, "seed": 0, "horizon": None},
+                       **fault)
+        for name in entries:
+            with pytest.raises(error) as exc:
+                _ENTRIES[name](fig2, fig2_payoff, *request.values())
+            assert (type(exc.value), str(exc.value)) == (error, message), name
 
 
 class TestSinglePath:
@@ -526,10 +568,10 @@ def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
 
 def _ref_first_passage_times(model, x0, levels, n, seed):
     levels = np.asarray(levels, dtype=float)
-    start, elevels, drift = _engine_setup(model, x0, levels)
+    _, _, start, elevels = _engine_inputs(model, x0, levels)
     return np.concatenate([
         _ref_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
-                            elevels, drift, default_horizon(model))[0]
+                            elevels, model.engine_drift, default_horizon(model))[0]
         for index, lo in enumerate(range(0, n, CHUNK))])
 
 
@@ -606,7 +648,8 @@ class TestReferenceStatistics:
          3000, 5.0),
     ], ids=["start_inside_grid", "short_horizon", "two_chunks", "zero_discount"])
     def test_estimates_match(self, model, x, levels, gvals, n, horizon):
-        got, disc = _stop_at(model, x, levels, gvals, n, 17, horizon)
+        _, _, tau, resolved = _request(model, x, levels, n, 17, horizon)
+        got, disc = _stop_at(model, tau, gvals, 17, resolved)
         want, ref = _ref_stop_at(model, x, levels, gvals, n, 17, horizon)
         assert [repr(e) for e in got] == [repr(e) for e in want]  # repr tells -0.0 from 0.0
         assert np.array_equal(disc, ref)

@@ -16,7 +16,14 @@ line of its own.
                 column of sweep) in mpmath at 40 digits, with the equation
                 of perfbench/checks.py, and print each side's error in units
                 in the last place of the exact root, then each side's worst
-                and median |error|.
+                and median |error|. Judge every moved closed-form threshold
+                the same way against its formula in mpmath at that side's
+                printed root: solve's x_star from k1, x_star_low from
+                bracket_high and x_star_high from bracket_low, and the sweep
+                x_star column from its k1 column, for the capped or power
+                payoff of the record's model echo (sweep: of the override
+                flags, else of the config). A tabulated payoff's threshold
+                has no closed form and is listed as not judged.
 
 Exits 0 when every request is identical, 1 otherwise.
 """
@@ -37,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_KEYS = {"sigma": "volatility", "lambda": "lambda"}
+THRESHOLD_ROOTS = {"x_star": "k1", "x_star_low": "bracket_high", "x_star_high": "bracket_low"}
+OVERRIDE_KINDS = {"capped": "capped_call", "power": "power_call"}
 
 
 def write_corpora(rev: str, old: Path, new: Path) -> None:
@@ -140,6 +149,10 @@ def k1_cases(record: dict, moved: list) -> list[tuple[str, dict, float, float]]:
     return cases
 
 
+def _ulps(value: float, exact) -> float:
+    return float((value - exact) / math.ulp(float(exact)))
+
+
 def errors_in_ulps(cfg: dict, old: float, new: float, checks) -> tuple[float, float]:
     """Each k1's distance from the root near them, found by the secant method in
     mpmath at 40 digits, in units in the last place of that root."""
@@ -148,8 +161,71 @@ def errors_in_ulps(cfg: dict, old: float, new: float, checks) -> tuple[float, fl
     with mpmath.workdps(40):
         exact = mpmath.findroot(lambda k: checks.mp_char_eq(cfg, k),
                                 (mpmath.mpf(old), mpmath.mpf(new)), solver="secant")
-        ulp = math.ulp(float(exact))
-        return float((old - exact) / ulp), float((new - exact) / ulp)
+        return _ulps(old, exact), _ulps(new, exact)
+
+
+def _payoff(record: dict) -> tuple[str, dict | None]:
+    """The family and payoff a record was solved for: solve's model echo, or
+    a sweep's config with the payoff of its override flags, if any."""
+    argv = record["argv"]
+    if argv[0] != "sweep":
+        model = json.JSONDecoder().raw_decode(record["stdout"])[0]["model"]
+        return model["family"], model["payoff"]
+    cfg = _config(record)
+    if "--payoff" not in argv:
+        return cfg["family"], cfg.get("payoff")
+    params = {a[2:]: float(b) for a, b in zip(argv, argv[1:]) if a in ("--K", "--I", "--a", "--b")}
+    return cfg["family"], {"kind": OVERRIDE_KINDS[argv[argv.index("--payoff") + 1]],
+                           "params": params}
+
+
+def threshold_cases(old: dict, new: dict, moved: list) -> list[tuple[str, list]]:
+    """(label, [(old k, old x), (new k, new x)]) for each threshold of the
+    record that moved from one number to another, with the root printed
+    beside it on each side."""
+    sides = fields(old["stdout"]), fields(new["stdout"])
+    cases = []
+    for key, was, now in moved:
+        head, _, name = key.rpartition(".")
+        if (name not in THRESHOLD_ROOTS or _number(was) is None or _number(now) is None
+                or head and not (head.startswith("csv[") and new["argv"][0] == "sweep")):
+            continue
+        root = f"{head}.{THRESHOLD_ROOTS[name]}" if head else THRESHOLD_ROOTS[name]
+        cases.append((f"{key} from {root}",
+                      [(float(side[root]), float(x)) for side, x in zip(sides, (was, now))]))
+    return cases
+
+
+def threshold_errors(family: str, payoff: dict, sides: list) -> tuple[float, ...] | None:
+    """Each side's threshold distance from its closed form at that side's
+    root, in mpmath at 40 digits, in units in the last place of the exact
+    threshold; None for a tabulated payoff, which has no closed form."""
+    import mpmath
+
+    kind = payoff["kind"]
+    if kind not in ("capped_call", "power_call"):
+        return None
+    p = {name: mpmath.mpf(v) for name, v in payoff["params"].items()}
+    A, B = (1, 0) if family == "arithmetic" else (0, 1)  # 1/u'(x) = A + B x
+    errors = []
+    with mpmath.workdps(40):
+        for k, x in sides:
+            k = mpmath.mpf(k)
+            if kind == "power_call":
+                exact = (k * p["K"] / ((k - p["b"]) * p["a"])) ** (1 / p["b"])
+            elif k * (p["K"] - p["I"]) >= A + B * p["K"]:
+                exact = (k * p["I"] + A) / (k - B)
+            else:  # the cap
+                exact = p["K"]
+            errors.append(_ulps(x, exact))
+    return tuple(errors)
+
+
+def _summary(what: str, errors: list) -> str:
+    sides = [[abs(e) for e in side] for side in zip(*errors)] or [[0.0], [0.0]]
+    return (f"verdict: {len(errors)} moved {what}, worst |error| old {max(sides[0]):.1f} ulp, "
+            f"new {max(sides[1]):.1f} ulp; median |error| old "
+            f"{statistics.median(sides[0]):.1f} ulp, new {statistics.median(sides[1]):.1f} ulp")
 
 
 def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) -> int:
@@ -164,7 +240,7 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
         spec = importlib.util.spec_from_file_location("checks", ROOT / "perfbench" / "checks.py")
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
-    errors = []  # (old, new) error in ulps of each moved k1
+    errors, thresholds, unjudged = [], [], 0  # (old, new) errors in ulps of k1 and thresholds
     for name in moved:
         a, b = old[name], new[name]
         print(f"moved: {name}", file=out)
@@ -179,15 +255,22 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
                 errors.append(errors_in_ulps(cfg, was, now, checks))
                 print(f"  verdict {label}: old {errors[-1][0]:+.1f} ulp, "
                       f"new {errors[-1][1]:+.1f} ulp", file=out)
+            for label, sides in threshold_cases(a, b, changes):
+                judged = threshold_errors(*_payoff(b), sides)
+                if judged is None:
+                    unjudged += 1
+                    print(f"  verdict {label}: not judged (tabulated payoff)", file=out)
+                    continue
+                thresholds.append(judged)
+                print(f"  verdict {label}: old {judged[0]:+.1f} ulp, new {judged[1]:+.1f} ulp",
+                      file=out)
     for label, names in (("added", added), ("removed", removed)):
         for name in names:
             print(f"{label}: {name}", file=out)
     if verdict:
-        sides = [[abs(e) for e in side] for side in zip(*errors)] or [[0.0], [0.0]]
-        print(f"verdict: {len(errors)} moved k1, worst |error| old {max(sides[0]):.1f} ulp, "
-              f"new {max(sides[1]):.1f} ulp; median |error| old "
-              f"{statistics.median(sides[0]):.1f} ulp, new {statistics.median(sides[1]):.1f} ulp",
+        print(_summary(f"closed-form thresholds ({unjudged} more not judged)", thresholds),
               file=out)
+        print(_summary("k1", errors), file=out)
     return 0 if len(same) == len(old) == len(new) else 1
 
 
@@ -196,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--parent", metavar="REV", help="write OLD from REV's src/, NEW from ./src")
-    parser.add_argument("--verdict", action="store_true", help="mpmath errors of moved k1")
+    parser.add_argument("--verdict", action="store_true",
+                        help="mpmath errors of moved k1 and closed-form thresholds")
     args = parser.parse_args(argv)
     if args.parent:
         write_corpora(args.parent, args.old, args.new)
