@@ -6,26 +6,25 @@
   levy-stop sweep     --config FILE --param    comparative statics CSV
   levy-stop simulate  --config FILE --x --y    Monte Carlo cross-check
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
-4 statistical contract violation under --assert. JSON goes to stdout
-(or --out); CSV is RFC-4180 with a header row. Each subcommand builds
-its output as text and `_emit` writes it: output files are written
-before anything reaches stdout, so a failed write exits 2 with stdout
-empty. Each subcommand imports the modules only it needs, so `root` on a
-config without tabulated marks or payoff loads neither numpy nor the
-Monte Carlo engine.
+Exit codes: 0 success, 2 config/validation error, 3 numerical failure, 4
+statistical contract violation under --assert. JSON goes to stdout (or
+--out); CSV has a header row, CRLF line ends and unquoted cells (float
+reprs or fixed names). `_emit` writes every output file before anything
+reaches stdout, so a failed write exits 2 with stdout empty. Each
+subcommand imports only the modules it needs, so `root` on a config
+without tabulated marks or payoff loads neither numpy nor the Monte
+Carlo engine.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 import warnings
 from dataclasses import replace
 from math import isfinite
+from operator import eq, ge, gt, le, lt
 
 from ._numpy import np
 from .errors import InvalidModel, SolverError
@@ -75,14 +74,21 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header: list[str], rows, trailer=()) -> str:
-    """RFC-4180 CSV with CRLF line ends; csv writes each Python float as its repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    for line in trailer:
-        buf.write(f"# {line}\r\n")
-    return buf.getvalue()
+    """CSV with CRLF line ends, then `# ` trailer lines. Every cell is a
+    Python float, written as its repr, or a fixed name; RFC 4180 quotes
+    neither, so each line is its cells joined by commas."""
+    lines = [",".join(map(str, row)) for row in (header, *rows)] + [f"# {t}" for t in trailer]
+    return "\r\n".join(lines) + "\r\n"
+
+
+# a sweep column's trailer label: the first whose test holds at every step
+_DIRECTIONS = (("strictly_decreasing", gt), ("strictly_increasing", lt), ("constant", eq),
+               ("nondecreasing", le), ("nonincreasing", ge))
+
+
+def _direction(column: tuple[float, ...]) -> str:
+    return next((name for name, holds in _DIRECTIONS
+                 if all(holds(a, b) for a, b in zip(column, column[1:]))), "not_monotone")
 
 
 def _emit(*outputs: tuple[str, str | None]) -> None:
@@ -136,7 +142,8 @@ def cmd_solve(args) -> int:
     from .stopping import value_fn
 
     model, payoff = _problem(args)
-    _finite(args, "x")
+    if _finite(args, "x") is not None:
+        model.require_states(args.x)  # one domain message for every x at or below the floor
     grid = _parse_range(args.grid) if args.grid else None
     report = bounds.sandwich(model, payoff, grid=grid)
     sol = report.solution
@@ -200,16 +207,8 @@ def cmd_sweep(args) -> int:
         cells = (v, k1, solve_threshold(m, payoff, k1).x_star, bounds.adjusted_discount(m, k1),
                  bounds.certainty_growth(m, k1))
         rows.append([float(c) for c in cells])
-
-    def direction(column: int) -> str:
-        diffs = np.diff([row[column] for row in rows])
-        if np.all(diffs < 0):
-            return "strictly_decreasing"
-        if np.all(diffs > 0):
-            return "strictly_increasing"
-        return "not_monotone"
-
-    trailer = [f"k1 {direction(1)}", f"x_star {direction(2)}"]
+    columns = list(zip(*rows))
+    trailer = [f"k1 {_direction(columns[1])}", f"x_star {_direction(columns[2])}"]
     header = [args.param, "k1", "x_star", "theta_star", "mu_hat"]
     _emit((_csv_text(header, rows, trailer), args.out))
     return 0

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levystop import first_passage_times, model_from_config, reproduce
+from levystop import cli, first_passage_times, model_from_config, reproduce
 from levystop.cli import build_parser, main
 
 # a floating-point warning reaching stderr breaks the one-line error contract
@@ -258,6 +258,29 @@ class TestSweep:
             assert len(row) == 5
             for cell in row:
                 float(cell)
+
+    def test_threshold_pinned_at_cap_is_constant(self, capsys, cfg_file):
+        # every sigma leaves x_star at the cap K = 2: a flat column is not a
+        # counterexample to monotonicity
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(TABLE1_CFG),
+                               "--param", "sigma", "--range", "0.05:0.3:4",
+                               "--payoff", "capped", "--K", "2", "--I", "1")
+        assert code == 0
+        lines = out.split("\r\n")
+        assert [row.split(",")[2] for row in lines[1:5]] == ["2.0"] * 4
+        assert lines[5:] == ["# k1 strictly_decreasing", "# x_star constant", ""]
+
+    @pytest.mark.parametrize("column, label", [
+        ((0.5, 0.6, 0.7), "strictly_increasing"),
+        ((0.7, 0.6, 0.5), "strictly_decreasing"),
+        ((2.0, 2.0, 2.0), "constant"),
+        ((1.892, 2.643, 3.089, 3.089, 3.089), "nondecreasing"),
+        ((3.089, 3.089, 2.643), "nonincreasing"),
+        ((0.5, 0.7, 0.6), "not_monotone"),
+        ((0.5, math.nan, 0.7), "not_monotone"),
+    ])
+    def test_direction_labels(self, column, label):
+        assert cli._direction(column) == label
 
     def test_bad_range(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "sweep", "--config", cfg_file(FIG2_CFG),
@@ -682,10 +705,9 @@ class TestExitCodes:
         assert err.startswith(("error: ", "numerical failure: ")) and err.count("\n") == 1
 
     def test_state_outside_domain_is_invalid_input(self, capsys, cfg_file):
-        code, out, err = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG), "--x=-1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: geometric state") and err.count("\n") == 1
+        for x in ("0", "-1"):  # one message for the floor and below it
+            code, out, err = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG), f"--x={x}")
+            assert (code, out, err) == (2, "", "error: geometric states must be above 0.0\n")
 
     def test_overlong_integer_is_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -728,6 +750,56 @@ class TestWriter:
         code, out, err = run_cli(capsys, *argv, "--csv", str(grid), "--out", str(payload))
         assert (code, out, err) == (0, "", "")
         assert printed.encode() == payload.read_bytes() + grid.read_bytes()
+
+
+def _csv_reference(header, rows, trailer=()) -> str:
+    """What csv.writer writes for the same cells: the bytes `_csv_text` keeps."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    buf.writelines(f"# {line}\r\n" for line in trailer)
+    return buf.getvalue()
+
+
+class TestCsvText:
+    """`_csv_text` writes the bytes csv.writer writes for every cell the CLI passes."""
+
+    EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 123456789012345678.0,
+                   math.inf, -math.inf, math.nan]
+
+    def test_edge_floats(self):
+        rows = [[v, -v, "k1"] for v in self.EDGE_FLOATS]
+        header = ["x", "lambda", "0.05"]
+        text = cli._csv_text(header, rows, ["k1 constant"])
+        assert text == _csv_reference(header, rows, ["k1 constant"])
+        assert text.splitlines()[1:4] == ["-0.0,0.0,k1", "5e-324,-5e-324,k1", "1e-05,-1e-05,k1"]
+
+    def test_empty_rows(self):
+        assert cli._csv_text(["x", "v"], []) == _csv_reference(["x", "v"], []) == "x,v\r\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--x", "1.0", "--csv", "-"],
+        ["reproduce", "--target", "table1", "--precision", "2"],
+        ["reproduce", "--target", "table3", "--precision", "full"],
+        ["reproduce", "--target", "figure2"],
+        ["sweep", "--param", "lambda", "--range", "0.0:0.3:4"],
+    ], ids=["solve-grid", "table-2dp", "table-full", "figure", "sweep"])
+    def test_cli_tables_match_csv_writer(self, capsys, cfg_file, monkeypatch, argv):
+        calls, real = [], cli._csv_text
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "_csv_text", spy)
+        config = [] if argv[0] == "reproduce" else ["--config", cfg_file(FIG2_CFG)]
+        code, out, err = run_cli(capsys, argv[0], *config, *argv[1:])
+        assert (code, err) == (0, "")
+        [(args, text)] = calls
+        assert text == _csv_reference(*args)
+        assert out.endswith(text) and args[1]  # the rows
+        assert (len(args) == 3) == (argv[0] == "sweep")  # only a sweep has trailers
 
 
 class TestRepeatedCalls:
