@@ -4,33 +4,34 @@ The scheme is exact and event driven, jump to jump (Kou & Wang 2003;
 Metwally & Atiya 2002). Jump epochs are Poisson(lambda) and sampled
 exactly. Between them the engine-space path (the state itself, or its
 log for the geometric family) is a Brownian motion with drift c and
-volatility sigma, so its passage time over a level at distance d is
-inverse Gaussian, IG(d/|c|, d^2/sigma^2), reached only with probability
-exp(2cd/sigma^2) when c < 0, and Levy, d^2/(sigma^2 Z^2), when c = 0.
-One Michael-Schucany-Haas draw (1976) covers all three (see _passage).
+volatility sigma, so a gap of length s ends at start + c s + sigma
+sqrt(s) Z, drawn when the gap starts. Given both ends, the path is a
+Brownian bridge, and one uniform decides whether it crosses the next
+barrier (see _crossing); a crossing's time is one Michael-Schucany-Haas
+draw (1976, see _passage), time-changed into the bridge.
 
-Each pass draws, for every live path, the passage time to its next
-barrier. A time inside the gap to the next jump (or the horizon) is the
-hit time, exactly. Downward jumps cannot cross a barrier, which is the
-spectral-negativity fact the whole analytic route rests on: crossings
-are continuous, the path restarts on the barrier, X_tau = y and
-g(X_tau) = g(y) exactly, and the next barrier is tried in the same gap.
-Otherwise the gap-end position is drawn from its law given that passage
-time (see _gap_end), a fixed handful of draws with no rejection loop,
-and the jump is applied. There is no time step, so the recorded passage
-times carry no discretization error.
+A crossing inside the gap is the hit time, exactly. Downward jumps
+cannot cross a barrier, which is the spectral-negativity fact the whole
+analytic route rests on: crossings are continuous, the path restarts on
+the barrier, X_tau = y and g(X_tau) = g(y) exactly, and the next barrier
+is tried on the rest of the same bridge. Otherwise the path moves to the
+gap's end position and the jump is applied. There is no time step, so
+the recorded passage times carry no discretization error.
 
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
 driven by its own SFC64 stream keyed (seed, chunk index) and writing its
 own columns of one result, allocated before any path runs. Replays are
 bit-identical for a given seed regardless of how chunks might be
-scheduled. Each pass draws, in an order, sizes and arguments that
-performance changes keep: one normal then one uniform per live path;
-gap-end draws for the misses; then their jump marks and exponential
-gaps. A pass computes in place, in arrays it already owns, with the
-floating-point operations of the formulas in their order (at most the
-operands of + and * swapped), so every result is the same to the bit as
-the formulas written out.
+scheduled. A chunk draws every path's first jump gap, then, unless the
+start is at or above every barrier, one normal per path for the gap's
+end position. Each pass then draws, in an order, sizes and arguments
+that performance changes keep: one uniform per live path; one normal
+then one uniform per crossing; then, for the gaps that end in a jump,
+the jump marks, the next exponential gaps and one normal each for their
+end positions. A pass computes, mostly in place, with the floating-point
+operations of the formulas in their order (at most the operands of + and
+* swapped), so every result is the same to the bit as the formulas
+written out.
 """
 from __future__ import annotations
 
@@ -124,21 +125,22 @@ def _chunk_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, index])))
 
 
-def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np.ndarray:
-    """Passage time of c t + sigma W_t over d > 0; inf where it never gets there.
+def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
+             s2: float) -> np.ndarray:
+    """Passage time of c t + sigma W_t over d > 0, for drifts c >= 0 (an
+    array like d, or one float for all).
 
     Michael, Schucany & Haas (1976, Am. Statistician 30:88-90). With
-    a = |c| and nu = s2 Z^2, the roots of (a t - d)^2 = nu t are
-    t_lo = 2d^2/(2ad + nu + sqrt(nu (4ad + nu))) and t_hi = d^2/(a^2 t_lo);
-    IG(d/a, d^2/s2) is t_lo with probability p = d/(d + a t_lo), else t_hi.
-    When c < 0 the level is reached with probability rho = exp(2cd/s2),
-    folded into the same uniform U: t_lo if U < rho p, t_hi if U < rho,
-    else inf. Every term is positive, so nothing cancels as c -> 0, and
-    c = 0 gives p = 1 and t_lo = d^2/nu, the Levy law.
+    nu = s2 Z^2, the roots of (c t - d)^2 = nu t are
+    t_lo = 2d^2/(2cd + nu + sqrt(nu (4cd + nu))) and t_hi = d^2/(c^2 t_lo);
+    IG(d/c, d^2/s2) is t_lo with probability p = d/(d + c t_lo), else t_hi.
+    Every term is positive, so nothing cancels as c -> 0, and c = 0 gives
+    p = 1 and t_lo = d^2/nu, the Levy law.
 
-    Every step writes into an array this call already owns; d is only read.
+    Every step writes into an array this call already owns; d and c are only read.
     """
-    a2d = d * (2.0 * abs(c))  # 2ad
+    c2 = np.multiply(c, 2.0)
+    a2d = c2 * d  # 2cd
     nu = gen.standard_normal(d.size)
     np.square(nu, out=nu)
     nu *= s2
@@ -150,79 +152,46 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: float, s2: float) -> np
         den *= nu
         np.sqrt(den, out=den)
         nu += a2d
-        den += nu  # 2ad + nu + sqrt(nu (4ad + nu)); nu is free from here on
+        den += nu  # 2cd + nu + sqrt(nu (4cd + nu)); nu is free from here on
         tau = np.multiply(d, 2.0, out=nu)
         tau *= d
         tau /= den  # t_lo
-        # U < rho p with p = den/(den + 2ad), kept free of division; <= takes
+        # U < p with p = den/(den + 2cd), kept free of division; <= takes
         # t_lo when den = 0, where t_lo = inf is the Levy time for Z = 0
-        bound = den
-        if c < 0:
-            rho = np.negative(a2d)
-            rho /= s2
-            np.exp(rho, out=rho)
-            never = u >= rho
-            rho *= den
-            bound = rho
         a2d += den
         u *= a2d
-        high = np.less_equal(u, bound)
+        high = np.less_equal(u, den)
         np.logical_not(high, out=high)  # not <=, so a NaN takes t_hi
-        np.divide(den, 2.0 * c * c, out=tau, where=high)  # t_hi
-    if c < 0:
-        tau[never] = np.inf
+        c2 *= c
+        np.divide(den, c2, out=tau, where=high)  # t_hi
     return tau
 
 
-def _gap_end(gen: np.random.Generator, d: np.ndarray, h: np.ndarray, tau: np.ndarray,
-             c: float, sigma: float) -> np.ndarray:
-    """Distance below the barrier after time h, given the passage time tau > h.
+def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndarray,
+              s2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which Brownian bridges cross a barrier (a mask), and when (the times
+    of the paths it selects); d, e and s are only read.
 
-    Given tau, the distance is a BES(3) bridge from d to 0 whatever c is,
-    so at h it is the norm of a 3-d Brownian bridge. Given tau = inf
-    (c < 0, never reached) it is BES(3) with drift |c|: the norm of a 3-d
-    Brownian motion with that drift, started on the sphere of radius d
-    with density proportional to exp(|c| d cos(theta) / sigma^2) about
-    the drift direction (Rogers & Pitman 1981).
-
-    d and h are scratch: the result is built in their buffers and fresh draws.
+    Over time s the bridge runs from distance d > 0 below the barrier to
+    distance e below it. It crosses with probability exp(-2de/(s2 s))
+    (Metwally & Atiya 2002), at least 1 when e <= 0. In the time
+    nu = s t/(s - t) it crosses when a Brownian motion with drift -e/s
+    passes d, and given that it does, the drift is |e|/s: a crossing comes
+    s/(1 + s/nu) after the bridge starts, nu that passage time.
     """
-    shrink = np.divide(h, tau)
-    np.subtract(1.0, shrink, out=shrink)
-    if c < 0:
-        never = np.isinf(tau).nonzero()[0]
-        dn, hn = d[never], h[never]
-    r = np.multiply(d, shrink, out=d)
-    if c < 0:
-        kappa = dn * -c
-        kappa /= sigma * sigma
-        cos = kappa * -2.0
-        np.expm1(cos, out=cos)
-        cos *= gen.random(never.size)
-        np.log1p(cos, out=cos)
-        cos /= kappa
-        cos += 1.0
-        # r = sqrt(dn^2 + (c hn)^2 - 2 c dn hn cos), kappa's buffer reused
-        cross = np.multiply(dn, 2.0 * c, out=kappa)
-        cross *= hn
-        cross *= cos
-        hn *= c
-        np.square(hn, out=hn)
-        dn *= dn
-        dn += hn
-        dn -= cross
-        r[never] = np.sqrt(dn, out=dn)
-    v2 = np.multiply(h, sigma * sigma, out=h)
-    v2 *= shrink
-    w = gen.standard_normal(r.size)
-    w *= np.sqrt(v2, out=shrink)
-    w += r
-    np.square(w, out=w)
-    v2 *= 2.0
-    e = gen.standard_exponential(r.size)
-    e *= v2
-    w += e
-    return np.sqrt(w, out=w)
+    hit = gen.random(d.size) < np.exp(-2.0 * d * e / (s2 * s))
+    got = hit.nonzero()[0]
+    sg = s[got]
+    nu = _passage(gen, d[got], np.abs(e[got]) / sg, s2)
+    np.divide(sg, nu, out=nu)
+    nu += 1.0
+    return hit, np.divide(sg, nu, out=nu)
+
+
+def _end_position(gen: np.random.Generator, pos: np.ndarray, s: np.ndarray, c: float,
+                  sigma: float) -> np.ndarray:
+    """The Gaussian end positions pos + c s + sigma sqrt(s) Z of gaps of length s."""
+    return pos + c * s + sigma * np.sqrt(s) * gen.standard_normal(s.size)
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels: np.ndarray,
@@ -234,7 +203,8 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
     cells = tau.reshape(-1)[lo:]  # a view: level j, row i is cell j * width + i
     gap = np.minimum(gen.exponential(1.0 / lam, n), horizon) if lam > 0 else np.full(n, horizon)
 
-    # state of the live paths only: row, position, clock, next barrier, gap end
+    # state of the live paths only: row, position, clock, next barrier, and the
+    # time and position at which the gap ends
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:hit0, lo:lo + n] = 0.0
     rows = np.arange(n if hit0 < m else 0)
@@ -242,37 +212,37 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
     pos, t = np.full(rows.size, start, dtype=float), np.zeros(rows.size)
     k = np.full(rows.size, hit0)
     gap = gap[rows]
+    end = _end_position(gen, pos, gap, drift, sigma)
 
     with np.errstate(divide="ignore", over="ignore"):
         while rows.size:
             lev = levels[k]
-            d = np.subtract(lev, pos, out=pos)  # lev is the position from here on
+            d = np.subtract(lev, pos, out=pos)
             np.maximum(d, 1e-12, out=d)  # rounding may leave a path on its barrier
-            dt = _passage(gen, d, drift, sigma * sigma)
-            h = gap - t
-            hit = dt < h
-            t += dt
+            hit, dt = _crossing(gen, d, lev - end, gap - t, sigma * sigma)
             got = hit.nonzero()[0]
-            cells[k[got] * width + rows[got]] = t[got]
+            dt += t[got]
+            t[got] = dt
+            cells[k[got] * width + rows[got]] = dt
             k += hit
             miss = np.logical_not(hit, out=hit).nonzero()[0]
-            gap_miss = gap[miss]
-            t[miss] = gap_miss
+            t[miss] = gap[miss]
 
-            pos = lev
-            d, h, dt = d[miss], h[miss], dt[miss]  # the full-length arrays are freed here
-            pos[miss] -= _gap_end(gen, d, h, dt, drift, sigma)
+            pos = lev  # a hit restarts on its barrier, inside the same bridge
+            pos[miss] = end[miss]
             if lam > 0:
-                miss = miss[gap_miss < horizon]
+                miss = miss[gap[miss] < horizon]
                 pos[miss] += _jump_shift(model, gen, miss.size)
                 wait = gen.exponential(1.0 / lam, miss.size)
                 wait += t[miss]
                 gap[miss] = np.minimum(wait, horizon, out=wait)
+                end[miss] = _end_position(gen, pos[miss], wait - t[miss], drift, sigma)
             live = np.less(k, m, out=hit)
             live &= t < horizon
             if not live.all():  # compact only when some path finished
                 keep = live.nonzero()[0]
-                rows, pos, t, k, gap = rows[keep], pos[keep], t[keep], k[keep], gap[keep]
+                rows, pos, t, k, gap, end = (rows[keep], pos[keep], t[keep], k[keep],
+                                             gap[keep], end[keep])
 
 
 def _request(model: Model, x0, levels, n: int, seed: int,
@@ -327,18 +297,17 @@ def _stop_at(model: Model, tau: np.ndarray, gvals, seed: int,
     tau. A barrier at or below the start is passed at tau = 0, so its
     estimate is g_j exactly, with zero standard error."""
     n = tau.shape[1]
-    censored = [float(np.isinf(row).mean()) for row in tau]
+    censored = np.isinf(tau).mean(axis=1).tolist()
     if model.discount > 0:  # in place: e^{-r inf} = 0 needs no mask
         tau *= -model.discount
         disc = np.exp(tau, out=tau)
     else:  # e^{-0 tau} = 1 where reached, 0 at tau = inf
         disc = np.isfinite(tau).astype(float)
     tail = exp(-model.discount * horizon)
-    estimates = [MCEstimate(mean=g * float(row.mean()),
-                            stderr=abs(g) * float(row.std(ddof=1) / sqrt(n)),
-                            n_paths=n, horizon=horizon,
-                            truncation_bound=abs(g) * tail * frac, seed=seed)
-                 for g, row, frac in zip(gvals, disc, censored)]
+    estimates = [MCEstimate(mean=g * mean, stderr=abs(g) * (sd / sqrt(n)), n_paths=n,
+                            horizon=horizon, truncation_bound=abs(g) * tail * frac, seed=seed)
+                 for g, mean, sd, frac in zip(gvals, disc.mean(axis=1).tolist(),
+                                              disc.std(axis=1, ddof=1).tolist(), censored)]
     return estimates, disc
 
 

@@ -224,10 +224,15 @@ class PointMassJumps:
 
 @dataclass(frozen=True)
 class TabulatedJumps:
-    """Finite discrete mark law: P[Z = nodes[i]] = weights[i]."""
+    """Finite discrete mark law: P[Z = nodes[i]] = weights[i].
+
+    Construction caches the nodes as an array and the cumulative weights,
+    ending at exactly 1, that sample inverts."""
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
+    _node_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(map(_as_float, self.nodes))
@@ -241,6 +246,10 @@ class TabulatedJumps:
             raise InvalidModel("tabulated jump nodes must be nonnegative")
         if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise InvalidModel("tabulated jump weights must be nonnegative and sum to 1")
+        cdf = np.cumsum(weights)
+        cdf[-1] = 1.0
+        object.__setattr__(self, "_node_array", np.asarray(nodes))
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -254,10 +263,8 @@ class TabulatedJumps:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # inverse-CDF on the cumulative weights
-        cdf = np.cumsum(self.weights)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, gen.random(size), side="right")
-        return np.asarray(self.nodes)[np.minimum(idx, len(self.nodes) - 1)]
+        idx = np.searchsorted(self._cdf, gen.random(size), side="right")
+        return self._node_array[np.minimum(idx, len(self.nodes) - 1)]
 
     def laplace(self, s: float) -> float:
         return float(np.dot(self.weights, np.exp(-s * np.asarray(self.nodes))))

@@ -107,8 +107,7 @@ def solve_k1(model: Model) -> RootResult:
         return RootResult(lo, lo, hi, flo, 0)
     if fhi <= 0.0:
         return RootResult(hi, lo, hi, fhi, 0)
-    k1, iterations = _brentq(f, lo, hi)
-    resid = f(k1)
+    k1, resid, iterations = _brentq(f, lo, hi, flo, fhi)
     if abs(resid) > 1e-12 * _eq_scale(model, k1):
         raise SolverError(f"root residual {resid:.3g} above tolerance")
     return RootResult(k1, lo, hi, resid, iterations)
@@ -123,26 +122,30 @@ def _solve_zero_discount(model: Model) -> RootResult:
     lo = hi
     for _ in range(80):
         lo *= 0.5
-        if f(lo) < 0.0:
+        flo = f(lo)
+        if flo < 0.0:
             break
     else:
         raise NoPositiveRoot("no strictly positive root found at r = 0")
-    k1, iterations = _brentq(f, lo, hi)
-    return RootResult(k1, 0.0, hi, f(k1), iterations)
+    k1, resid, iterations = _brentq(f, lo, hi, flo, f(hi))
+    return RootResult(k1, 0.0, hi, resid, iterations)
 
 
 # Brent's stopping rule: |x - root| <= _XTOL + _RTOL |x|; _RTOL is 4 eps, rounded up
 _XTOL, _RTOL = 1e-15, 8.9e-16
 
 
-def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
-    """Root of f in [xa, xb] and the iteration count, by Brent's method
-    (Brent 1973, ch. 4). A line-for-line port of scipy's brentq.c, so root
-    and count equal scipy.optimize.brentq's at _XTOL and _RTOL bit for bit;
-    an endpoint root counts 0 iterations. A NaN value, a bracket without a
-    sign change and running out of iterations raise SolverError."""
-    def value(x: float) -> float:
-        fx = float(f(x))
+def _brentq(f, xa: float, xb: float, fa: float, fb: float,
+            maxiter: int = 100) -> tuple[float, float, int]:
+    """Root of f in [xa, xb], f there and the iteration count, by Brent's
+    method (Brent 1973, ch. 4), given the endpoint values fa = f(xa) and
+    fb = f(xb): one evaluation per iteration. A line-for-line port of
+    scipy's brentq.c, so root and count equal scipy.optimize.brentq's at
+    _XTOL and _RTOL bit for bit; an endpoint root counts 0 iterations. A
+    NaN value, a bracket without a sign change and running out of
+    iterations raise SolverError."""
+    def value(x: float, fx: float) -> float:
+        fx = float(fx)
         if isnan(fx):
             raise SolverError(f"root search failed: The function value at x={x} is NaN; "
                               "solver cannot continue.")
@@ -150,11 +153,11 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
-        return xpre, 0
+        return xpre, fpre, 0
     if fcur == 0.0:
-        return xcur, 0
+        return xcur, fcur, 0
     if copysign(1.0, fpre) == copysign(1.0, fcur):
         raise SolverError("root search failed: f(a) and f(b) must have different signs")
     for iterations in range(1, maxiter + 1):
@@ -167,7 +170,7 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
         delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iterations
+            return xcur, fcur, iterations
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
@@ -186,7 +189,7 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> tuple[float, int]:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = value(xcur, f(xcur))
     raise SolverError(f"root search failed: Failed to converge after {maxiter} iterations.")
 
 

@@ -28,9 +28,9 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _engine_inputs, _fitted_argmax,
-                         _gap_end, _horizon, _jump_shift, _passage, _request, _stop_at,
-                         simulate_to_threshold)
+from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _crossing, _end_position,
+                         _engine_inputs, _fitted_argmax, _horizon, _jump_shift, _passage,
+                         _request, _stop_at, simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -90,14 +90,13 @@ class TestLaplaceEstimate:
         assert est.horizon == pytest.approx(default_horizon(fig2))
 
     @pytest.mark.parametrize("model, x, y, drift_sign", [
-        # engine drift -0.3 + 1.0 * 0.1 < 0: defective inverse-Gaussian passage,
-        # and frequent jumps make many gap ends never-reached ones
+        # engine drift -0.3 + 1.0 * 0.1 < 0: most bridges end below the barrier,
+        # and frequent jumps make many short gaps
         (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0, 0.3, -1.0),
-        # engine drift -0.1 + 0.1 * 1 = 0 exactly: Levy passage
+        # engine drift -0.1 + 0.1 * 1 = 0 exactly
         (Model(Family.ARITHMETIC, -0.1, 0.2, 0.1, ExponentialJumps(1.0), 0.05), 0.0, 0.5, 0.0),
-        # engine drift 0.005 - 0.1^2/2 rounds to about -9e-19, where a
-        # difference-form inverse-Gaussian draw cancels to zero: the passage
-        # time must come out Levy
+        # engine drift 0.005 - 0.1^2/2 rounds to about -9e-19: zero drift up
+        # to rounding, from below
         (Model(Family.GEOMETRIC, 0.005, 0.1, 0.0, None, 0.05), 1.0, 1.5, -1.0),
     ], ids=["negative_engine_drift", "zero_engine_drift", "rounding_engine_drift"])
     def test_nonpositive_engine_drift_matches_analytic(self, model, x, y, drift_sign):
@@ -334,25 +333,32 @@ class TestSinglePath:
 
 
 class TestGapEnd:
-    """Gap-end draws against brute force: Gaussian endpoints kept when the
-    Brownian bridge to them stays below the barrier and, for paths whose
-    passage time is inf, when the path never comes back up either."""
+    """One gap as the engine draws it, its end position and then its bridge's
+    crossing, against c t + sigma W_t over d: the passage-time CDF
+    F(t) = Phi((ct - d)/(sigma sqrt t)) + e^{2cd/sigma^2} Phi((-ct - d)/(sigma sqrt t)),
+    and, for the misses, Gaussian end positions kept when the Brownian bridge
+    to them stays below the barrier."""
 
     @pytest.mark.parametrize("c", [0.5, 0.0, -0.5])
     def test_matches_rejection_sampling(self, c):
-        d, h, sigma, n = 0.8, 2.0, 0.5, 200_000
-        s = sigma * math.sqrt(h)
+        d, s, sigma, n = 0.8, 2.0, 0.5, 200_000
+        v = sigma * math.sqrt(s)
         gen = np.random.Generator(np.random.Philox(5))
-        tau = _passage(gen, np.full(n, d), c, sigma * sigma)
-        tau = tau[tau > h]
-        w = _gap_end(gen, np.full(tau.size, d), np.full(tau.size, h), tau, c, sigma)
-        ref = d - (c * h + s * gen.standard_normal(n))
-        keep = gen.random(n) < -np.expm1(-2.0 * d * ref / s ** 2)
-        assert stats.ks_2samp(w, ref[keep]).pvalue > 1e-3
-        if c < 0:
-            never = np.isinf(tau)
-            back = gen.random(n) < np.exp(2.0 * c * ref / sigma ** 2)
-            assert stats.ks_2samp(w[never], ref[keep & ~back]).pvalue > 1e-3
+        end = _end_position(gen, np.zeros(n), np.full(n, s), c, sigma)
+        hit, dt = _crossing(gen, np.full(n, d), d - end, np.full(n, s), sigma * sigma)
+
+        def passage_cdf(t):
+            sd = sigma * np.sqrt(t)
+            return (stats.norm.cdf((c * t - d) / sd)
+                    + math.exp(2.0 * c * d / sigma ** 2) * stats.norm.cdf((-c * t - d) / sd))
+
+        reach = float(passage_cdf(s))
+        assert abs(hit.mean() - reach) <= 4.0 * math.sqrt(reach * (1.0 - reach) / n)
+        assert dt.size == hit.sum() and np.all((dt > 0.0) & (dt <= s))
+        assert stats.kstest(dt, lambda t: passage_cdf(t) / reach).pvalue > 1e-3
+        ref = d - (c * s + v * gen.standard_normal(n))
+        keep = gen.random(n) < -np.expm1(-2.0 * d * ref / v ** 2)
+        assert stats.ks_2samp(d - end[~hit], ref[keep]).pvalue > 1e-3
 
 
 class TestPolicyValue:
@@ -512,58 +518,67 @@ class TestGridSearch:
 
 
 # ---------------------------------------------------------------------------
-# Reference engine: the index-mask pass loop the engine was first written
-# as, drawing its passage times with the Michael-Schucany-Haas sampler on
-# the SFC64 chunk streams. Performance work on mc.py must keep every draw
-# of every stream, so the shipped engine must reproduce this one bit for bit.
+# Reference engine: the endpoint-first gap written out with np.where. A gap
+# draws its Gaussian end position when it starts; each pass decides with one
+# uniform whether the Brownian bridge to it crosses the next barrier, and
+# times a crossing with the Michael-Schucany-Haas sampler, all on the SFC64
+# chunk streams. Performance work on mc.py must keep every draw of every
+# stream, so the shipped engine must reproduce this one bit for bit.
 # ---------------------------------------------------------------------------
 
 def _ref_passage(gen, d, c, s2):
     nu = s2 * gen.standard_normal(d.size) ** 2
     u = gen.random(d.size)
-    a2d = 2.0 * abs(c) * d
-    rho = np.exp(-a2d / s2) if c < 0 else 1.0
+    a2d = 2.0 * c * d
     with np.errstate(divide="ignore", invalid="ignore"):
         den = a2d + nu + np.sqrt(nu * (2.0 * a2d + nu))
         t_lo = 2.0 * d * d / den
         t_hi = den / (2.0 * c * c)
-    return np.where(u * (den + a2d) <= rho * den, t_lo, np.where(u < rho, t_hi, np.inf))
+    return np.where(u * (den + a2d) <= den, t_lo, t_hi)
+
+
+def _ref_end(gen, pos, s, drift, sigma):
+    return pos + drift * s + sigma * np.sqrt(s) * gen.standard_normal(s.size)
 
 
 def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
     m = len(levels)
     sigma = model.volatility
+    s2 = sigma * sigma
     lam = model.jump_intensity
     tau = np.full((n, m), np.inf)
-    end = np.full(n, start)
     gap = np.full(n, horizon)
     if lam > 0:
         gap = np.minimum(gen.exponential(1.0 / lam, n), horizon)
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:, :hit0] = 0.0
     rows = np.arange(n if hit0 < m else 0)
-    pos, t, k, gap = end[rows], np.zeros(rows.size), np.full(rows.size, hit0), gap[rows]
+    pos, t, k, gap = np.full(rows.size, float(start)), np.zeros(rows.size), \
+        np.full(rows.size, hit0), gap[rows]
+    end = _ref_end(gen, pos, gap, drift, sigma)
     with np.errstate(divide="ignore", over="ignore"):
         while rows.size:
             lev = levels[k]
             d = np.maximum(lev - pos, 1e-12)
-            h = gap - t
-            dt = _ref_passage(gen, d, drift, sigma * sigma)
-            hit = dt < h
+            e = lev - end
+            s = gap - t
+            hit = gen.random(rows.size) < np.exp(-2.0 * d * e / (s2 * s))
+            nu = _ref_passage(gen, d[hit], (np.abs(e) / s)[hit], s2)
+            dt = np.full(rows.size, np.inf)
+            dt[hit] = s[hit] / (1.0 + s[hit] / nu)
             t = np.where(hit, t + dt, gap)
             tau[rows[hit], k[hit]] = t[hit]
             k = k + hit
-            miss = np.flatnonzero(~hit)
-            pos = lev
-            pos[miss] -= _gap_end(gen, d[miss], h[miss], dt[miss], drift, sigma)
+            pos = np.where(hit, lev, end)
             if lam > 0:
-                miss = miss[gap[miss] < horizon]
-                pos[miss] += _jump_shift(model, gen, miss.size)
-                gap[miss] = np.minimum(t[miss] + gen.exponential(1.0 / lam, miss.size), horizon)
+                jump = np.flatnonzero(~hit & (gap < horizon))
+                pos[jump] += _jump_shift(model, gen, jump.size)
+                gap[jump] = np.minimum(t[jump] + gen.exponential(1.0 / lam, jump.size), horizon)
+                end[jump] = _ref_end(gen, pos[jump], gap[jump] - t[jump], drift, sigma)
             live = (k < m) & (t < horizon)
-            end[rows[~live]] = pos[~live]
-            rows, pos, t, k, gap = rows[live], pos[live], t[live], k[live], gap[live]
-    return tau, end
+            rows, pos, end = rows[live], pos[live], end[live]
+            t, k, gap = t[live], k[live], gap[live]
+    return tau
 
 
 def _ref_first_passage_times(model, x0, levels, n, seed):
@@ -571,7 +586,7 @@ def _ref_first_passage_times(model, x0, levels, n, seed):
     _, _, start, elevels = _engine_inputs(model, x0, levels)
     return np.concatenate([
         _ref_simulate_chunk(model, _chunk_stream(seed, index), min(CHUNK, n - lo), start,
-                            elevels, model.engine_drift, default_horizon(model))[0]
+                            elevels, model.engine_drift, default_horizon(model))
         for index, lo in enumerate(range(0, n, CHUNK))])
 
 
@@ -581,10 +596,10 @@ class TestReferenceStream:
     @pytest.mark.parametrize("model, x, levels, n", [
         (fig2_model(), 1.0, np.linspace(2.0, 2.8, 17), 3000),
         (table1_model(sigma=0.25, lam=0.2), 0.0, [0.5, 1.0, 1.5, 2.0], 3000),
-        # engine drift -0.3 + 1.0 * 0.1 < 0: defective passage, some rows never get there
+        # engine drift -0.3 + 1.0 * 0.1 < 0: some rows never get there
         (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0,
          [0.1, 0.3], 2000),
-        # engine drift -0.1 + 0.1 * 1 = 0 exactly: every passage is Levy
+        # engine drift -0.1 + 0.1 * 1 = 0 exactly
         (Model(Family.ARITHMETIC, -0.1, 0.2, 0.1, ExponentialJumps(1.0), 0.05), 0.0,
          [0.2, 0.5], 2000),
         # a start inside the grid: the first levels are passed at time 0
@@ -680,28 +695,26 @@ class TestZeroDiscount:
 
 class TestPassageLaw:
     """_passage against the passage-time transform of c t + sigma W_t over d,
-    E[e^{-q tau}] = exp(d (c - sqrt(c^2 + 2 q s2)) / s2), and against its
-    reach probability exp(2cd/s2) for c < 0, through zero drift from both sides."""
+    E[e^{-q tau}] = exp(d (c - sqrt(c^2 + 2 q s2)) / s2), for drifts c >= 0
+    down to zero, where every path gets there."""
 
-    @pytest.mark.parametrize("c", [-0.5, -1e-12, 0.0, 1e-12, 0.5])
+    @pytest.mark.parametrize("c", [0.0, 1e-12, 0.5])
     def test_laplace_transform_and_reach(self, c):
         s2, n = 0.09, 200_000
         gen = np.random.Generator(np.random.SFC64(41))
-        for d in (0.02, 0.1, 0.3):  # reached with probability 0.80 to 0.036 at c = -0.5
+        for d in (0.02, 0.1, 0.3):
             tau = _passage(gen, np.full(n, d), c, s2)
-            assert not np.isnan(tau).any() and np.all(tau > 0)
+            assert np.all(np.isfinite(tau) & (tau > 0))
             # q where the zero-drift transform is e^{-x}: no rare-event estimates
             for q in (s2 / 2.0 * (x / d) ** 2 for x in (0.05, 0.5, 1.0, 2.0, 4.0)):
                 disc = np.exp(-q * tau)
                 want = math.exp(d * (c - math.sqrt(c * c + 2.0 * q * s2)) / s2)
                 assert abs(disc.mean() - want) <= 4.0 * disc.std(ddof=1) / math.sqrt(n)
-            reach = math.exp(2.0 * c * d / s2) if c < 0 else 1.0
-            hit = np.isfinite(tau).mean()
-            assert abs(hit - reach) <= 4.0 * math.sqrt(reach * (1.0 - reach) / n)
 
-    @pytest.mark.parametrize("c", [0.3, 0.0, -0.3])
+    @pytest.mark.parametrize("c", [0.3, 0.0, pytest.param(np.array([0.3, 0.0, 0.3]),
+                                                         id="per_path")])
     def test_zero_normal_is_finite_law_and_silent(self, c):
-        # a standard normal of exactly 0 puts nu = 0: the roots meet at d/|c|,
+        # a standard normal of exactly 0 puts nu = 0: the roots meet at d/c,
         # and at c = 0 the Levy time d^2/nu is inf; nothing may come out NaN or warn
         class ZeroNormal:
             def standard_normal(self, size):
@@ -714,14 +727,13 @@ class TestPassageLaw:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tau = _passage(ZeroNormal(), d, c, 0.04)
-        # c < 0: reached (U = 0.5 below exp(2cd/s2)) from 1e-12 only
-        want = np.full(d.size, np.inf) if c == 0 else np.where(
-            0.5 < np.exp(2.0 * c * d / 0.04), d / abs(c), np.inf)
-        np.testing.assert_allclose(tau, want, rtol=1e-15)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(tau, np.where(c == 0, np.inf, d / c), rtol=1e-15)
 
     def test_silent_outside_the_engine(self):
         gen = np.random.Generator(np.random.SFC64(3))
+        d = np.linspace(1e-12, 2.0, 1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c in (0.5, 0.0, -0.5):
-                _passage(gen, np.linspace(1e-12, 2.0, 1000), c, 0.04)
+            for c in (0.5, 0.0, np.linspace(0.0, 1.0, 1000)):
+                _passage(gen, d, c, 0.04)

@@ -121,6 +121,13 @@ class TestJumpDists:
         a = dist.sample(np.random.default_rng(7), 100)
         b = dist.sample(np.random.default_rng(7), 100)
         assert np.array_equal(a, b)
+        # the inverse CDF written out, on weights whose float sum is not 1
+        dist = TabulatedJumps((0.3, 0.0, 0.9), (0.7, 0.2, 0.1))
+        cdf = np.cumsum(dist.weights)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, np.random.default_rng(7).random(1000), side="right")
+        want = np.asarray(dist.nodes)[np.minimum(idx, 2)]
+        assert np.array_equal(dist.sample(np.random.default_rng(7), 1000), want)
 
 
 class TestCappedCall:

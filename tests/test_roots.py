@@ -138,6 +138,24 @@ class TestSolveK1:
         assert abs(res.residual) < 1e-12
         assert res.iterations > 0
 
+    @pytest.mark.parametrize("model", [
+        table1_model(0.05, 0.1), fig2_model(), fig3_model(),
+        Model(Family.ARITHMETIC, 0.04, 0.1, 0.3, TabulatedJumps((0.2, 0.9), (0.4, 0.6)), 0.05),
+        Model(Family.ARITHMETIC, -0.02, 0.1, 0.1, GammaJumps(1.0, 1.0), 0.0),
+    ], ids=["table1", "fig2", "fig3", "tabulated", "zero_discount"])
+    def test_one_char_eq_call_per_iteration_and_one_more(self, model, monkeypatch):
+        # the bracket's endpoint values go into Brent, and Brent's last value
+        # is the residual: nothing is evaluated twice
+        calls = []
+        real = roots.char_eq
+        monkeypatch.setattr(roots, "char_eq", lambda m, k: calls.append(k) or real(m, k))
+        res = solve_k1(model)
+        assert res.iterations > 0
+        assert res.residual == real(model, res.k1)
+        if model.discount > 0:
+            assert len(calls) == res.iterations + 1
+        assert len(set(calls)) == len(calls)
+
     def test_no_jumps_returns_quadratic_root(self):
         m = Model(Family.ARITHMETIC, 0.04, 0.05, 0.0, None, 0.05)
         res = solve_k1(m)
@@ -284,14 +302,15 @@ class TestBracketProperty:
         assert res.bracket_low <= res.k1 <= res.bracket_high
 
 
-def scipy_brentq(f, lo: float, hi: float) -> tuple[float, int]:
+def scipy_brentq(f, lo: float, hi: float, flo: float, fhi: float) -> tuple[float, float, int]:
     """scipy's brentq at the tolerances roots._brentq uses, its errors
-    mapped as roots._brentq maps them: the reference."""
+    mapped as roots._brentq maps them, and f at its root: the reference.
+    scipy evaluates the endpoints itself, so flo and fhi go unused."""
     try:
         k1, info = brentq(f, lo, hi, xtol=roots._XTOL, rtol=roots._RTOL, full_output=True)
     except (ValueError, RuntimeError) as exc:
         raise SolverError(f"root search failed: {exc}") from exc
-    return k1, info.iterations
+    return k1, f(k1), info.iterations
 
 
 def tabulated_jumps(max_node: float):
@@ -391,9 +410,9 @@ class TestBrentAgainstScipy:
         # a fixed example set, so the count is the same on every run
         calls = []
 
-        def counting(f, lo, hi):
+        def counting(f, lo, hi, flo, fhi):
             calls.append(1)
-            return scipy_brentq(f, lo, hi)
+            return scipy_brentq(f, lo, hi, flo, fhi)
 
         @given(model=jump_models())
         @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -413,5 +432,5 @@ class TestBrentAgainstScipy:
         with pytest.raises((ValueError, RuntimeError)) as ref:
             brentq(f, lo, hi, xtol=roots._XTOL, rtol=roots._RTOL, maxiter=maxiter)
         with pytest.raises(SolverError) as exc:
-            roots._brentq(f, lo, hi, maxiter=maxiter)
+            roots._brentq(f, lo, hi, f(lo), f(hi), maxiter=maxiter)
         assert str(exc.value) == f"root search failed: {ref.value}"
