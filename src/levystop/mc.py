@@ -4,19 +4,26 @@ The scheme is exact and event driven, jump to jump (Kou & Wang 2003;
 Metwally & Atiya 2002). Jump epochs are Poisson(lambda) and sampled
 exactly. Between them the engine-space path (the state itself, or its
 log for the geometric family) is a Brownian motion with drift c and
-volatility sigma, so a gap of length s ends at start + c s + sigma
-sqrt(s) Z, drawn when the gap starts. Given both ends, the path is a
-Brownian bridge, and one uniform decides whether it crosses the next
-barrier (see _crossing); a crossing's time is one Michael-Schucany-Haas
-draw (1976, see _passage), time-changed into the bridge.
+volatility sigma, so a gap of length s that starts d below a barrier
+ends e = d - (c s + sigma sqrt(s) Z) below it, drawn when the gap
+starts. Given both ends, the path is a Brownian bridge, and one uniform
+decides whether it crosses the next barrier (see _crossing); a
+crossing's time is one Michael-Schucany-Haas draw (1976, see _passage),
+time-changed into the bridge.
 
 A crossing inside the gap is the hit time, exactly. Downward jumps
 cannot cross a barrier, which is the spectral-negativity fact the whole
 analytic route rests on: crossings are continuous, the path restarts on
 the barrier, X_tau = y and g(X_tau) = g(y) exactly, and the next barrier
-is tried on the rest of the same bridge. Otherwise the path moves to the
-gap's end position and the jump is applied. There is no time step, so
-the recorded passage times carry no discretization error.
+is tried on the rest of the same bridge. Otherwise the gap ends in a jump
+(or at the horizon). There is no time step, so the recorded passage times
+carry no discretization error.
+
+A live path is five numbers: the result cell of its next barrier, where
+its bridge starts (t) and ends (gap) in time, and its distances d and e
+below that barrier then. A restart moves the cell one barrier up, and d
+becomes the barriers' spacing and e grows by it; a jump of size W makes
+d = e + W before the next gap draws e.
 
 Determinism: paths are simulated in fixed chunks of 65536, each chunk
 driven by its own SFC64 stream keyed (seed, chunk index) and writing its
@@ -24,14 +31,13 @@ own columns of one result, allocated before any path runs. Replays are
 bit-identical for a given seed regardless of how chunks might be
 scheduled. A chunk draws every path's first jump gap, then, unless the
 start is at or above every barrier, one normal per path for the gap's
-end position. Each pass then draws, in an order, sizes and arguments
-that performance changes keep: one uniform per live path; one normal
-then one uniform per crossing; then, for the gaps that end in a jump,
-the jump marks, the next exponential gaps and one normal each for their
-end positions. A pass computes, mostly in place, with the floating-point
-operations of the formulas in their order (at most the operands of + and
-* swapped), so every result is the same to the bit as the formulas
-written out.
+end. Each pass then draws, in an order, sizes and arguments that
+performance changes keep: one uniform per live path; one normal then one
+uniform per crossing; then, for the gaps that end in a jump, the jump
+marks, the next exponential gaps and one normal each for their ends. The
+next pass takes the jumpers in their order, then the restarts in theirs.
+Every result is the same to the bit as the formulas written out in that
+order (at most the operands of + and * swapped).
 """
 from __future__ import annotations
 
@@ -117,10 +123,6 @@ def _engine_inputs(model: Model, x0, levels) -> tuple[float, np.ndarray, float, 
     return x0, levels, model.u(x0), np.where(levels <= x0, -np.inf, model.u(levels))
 
 
-def _jump_shift(model: Model, gen: np.random.Generator, size: int) -> np.ndarray:
-    return -model.marks(model.jump_dist.sample(gen, size))
-
-
 def _chunk_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, index])))
 
@@ -188,10 +190,10 @@ def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndar
     return hit, np.divide(sg, nu, out=nu)
 
 
-def _end_position(gen: np.random.Generator, pos: np.ndarray, s: np.ndarray, c: float,
+def _end_distance(gen: np.random.Generator, d: np.ndarray, s: np.ndarray, c: float,
                   sigma: float) -> np.ndarray:
-    """The Gaussian end positions pos + c s + sigma sqrt(s) Z of gaps of length s."""
-    return pos + c * s + sigma * np.sqrt(s) * gen.standard_normal(s.size)
+    """How far below a barrier gaps of length s that start d below it end."""
+    return d - (c * s + sigma * np.sqrt(s) * gen.standard_normal(s.size))
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels: np.ndarray,
@@ -200,49 +202,47 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
     m, width = tau.shape
     drift, sigma = model.engine_drift, model.volatility
     lam = model.jump_intensity
-    cells = tau.reshape(-1)[lo:]  # a view: level j, row i is cell j * width + i
     gap = np.minimum(gen.exponential(1.0 / lam, n), horizon) if lam > 0 else np.full(n, horizon)
-
-    # state of the live paths only: row, position, clock, next barrier, and the
-    # time and position at which the gap ends
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:hit0, lo:lo + n] = 0.0
-    rows = np.arange(n if hit0 < m else 0)
-    # float even for an int start: each pass writes the next distance into pos
-    pos, t = np.full(rows.size, start, dtype=float), np.zeros(rows.size)
-    k = np.full(rows.size, hit0)
-    gap = gap[rows]
-    end = _end_position(gen, pos, gap, drift, sigma)
+    if hit0 == m:
+        return
+    # barrier hit0 + j's height above the start (j = 0) or the barrier below it;
+    # rounding may leave a path on its barrier
+    rise = np.maximum(np.diff(levels[hit0:], prepend=start), 1e-12)
+    # a view: cell j * width + i is barrier hit0 + j, path i
+    cells, top = tau.reshape(-1)[hit0 * width + lo:], rise.size * width
+
+    cell, t, d = np.arange(n), np.zeros(n), np.full(n, rise[0])  # see the module docstring
+    e = _end_distance(gen, d, gap, drift, sigma)
 
     with np.errstate(divide="ignore", over="ignore"):
-        while rows.size:
-            lev = levels[k]
-            d = np.subtract(lev, pos, out=pos)
-            np.maximum(d, 1e-12, out=d)  # rounding may leave a path on its barrier
-            hit, dt = _crossing(gen, d, lev - end, gap - t, sigma * sigma)
+        while cell.size:
+            hit, dt = _crossing(gen, d, e, gap - t, sigma * sigma)
             got = hit.nonzero()[0]
             dt += t[got]
-            t[got] = dt
-            cells[k[got] * width + rows[got]] = dt
-            k += hit
-            miss = np.logical_not(hit, out=hit).nonzero()[0]
-            t[miss] = gap[miss]
-
-            pos = lev  # a hit restarts on its barrier, inside the same bridge
-            pos[miss] = end[miss]
-            if lam > 0:
-                miss = miss[gap[miss] < horizon]
-                pos[miss] += _jump_shift(model, gen, miss.size)
-                wait = gen.exponential(1.0 / lam, miss.size)
-                wait += t[miss]
-                gap[miss] = np.minimum(wait, horizon, out=wait)
-                end[miss] = _end_position(gen, pos[miss], wait - t[miss], drift, sigma)
-            live = np.less(k, m, out=hit)
-            live &= t < horizon
-            if not live.all():  # compact only when some path finished
-                keep = live.nonzero()[0]
-                rows, pos, t, k, gap, end = (rows[keep], pos[keep], t[keep], k[keep],
-                                             gap[keep], end[keep])
+            at = cell[got]
+            cells[at] = dt
+            # a miss that ends before the horizon jumps W further below its barrier there
+            jump = np.logical_not(hit, out=hit)
+            jump &= gap < horizon
+            jump = jump.nonzero()[0]
+            t_j, d_j = gap[jump], e[jump]
+            g_j = e_j = t_j  # no jumper: all empty
+            if jump.size:
+                d_j += model.marks(model.jump_dist.sample(gen, jump.size))
+                g_j = np.minimum(t_j + gen.exponential(1.0 / lam, jump.size), horizon)
+                e_j = _end_distance(gen, d_j, g_j - t_j, drift, sigma)
+            state = [cell[jump], t_j, g_j, d_j, e_j]
+            # a hit below the top barrier restarts on it, inside the same bridge, after the jumpers
+            at += width
+            up = np.flatnonzero((at < top) & (dt < horizon))
+            if up.size:
+                at, was = at[up], got[up]
+                step = rise[at // width]
+                for i, part in enumerate((at, dt[up], gap[was], step, e[was] + step)):
+                    state[i] = np.concatenate((state[i], part))
+            cell, t, gap, d, e = state
 
 
 def _request(model: Model, x0, levels, n: int, seed: int,

@@ -1048,6 +1048,35 @@ class TestCorpusDiff:
         assert "  verdict x_star from k1: not judged (tabulated payoff)" in lines
         assert lines[-2].startswith("verdict: 0 moved closed-form thresholds (2 more not judged)")
 
+    def test_verdict_sums_up_moved_simulate_records(self):
+        diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")
+
+        def record(name, flag, payload):
+            return {"request": name, "argv": ["simulate", "--x", "1.0", flag, "2.0"], "exit": 0,
+                    "stdout": json.dumps(payload, indent=2) + "\n", "stderr": ""}
+        one = {"mean": 0.5, "stderr": 0.01, "z_score": 0.25}
+        grid = {"best_y": 2.0, "points": [{"y": 1.0, "mean": 0.0, "stderr": 0.0},
+                                          {"y": 2.0, "mean": 0.4, "stderr": 0.02},
+                                          {"y": 3.0, "mean": 0.3, "stderr": 0.01}]}
+        moved_grid = json.loads(json.dumps(grid))
+        moved_grid["points"][1].update(mean=0.43, stderr=0.021)  # 1.5 old stderr
+        moved_grid["points"][2]["mean"] = 0.31  # 1.0 old stderr
+        old = {"y": record("y", "--y", one), "grid": record("grid", "--grid", grid),
+               "other": record("other", "--y", one)}
+        new = {"y": record("y", "--y", dict(one, mean=0.5 + 2 * math.ulp(0.5), stderr=0.0125)),
+               "grid": record("grid", "--grid", moved_grid), "other": old["other"]}
+        buf = io.StringIO()
+        assert diff.report(old, new, verdict=True, out=buf) == 1
+        assert buf.getvalue().splitlines()[-3] == (
+            "verdict: 1 moved simulate --y, worst relative move of mean 4.44e-16, of stderr "
+            "0.25; 1 moved simulate --grid, worst |new - old| point mean 1.5 old stderr")
+        # a point that was exact (stderr 0) and moved is infinitely far
+        moved_grid["points"][0]["mean"] = 0.1
+        new["grid"] = record("grid", "--grid", moved_grid)
+        buf = io.StringIO()
+        diff.report(old, new, verdict=True, out=buf)
+        assert buf.getvalue().splitlines()[-3].endswith("point mean inf old stderr")
+
 
 class TestStderrOutsidePytest:
     """pytest captures warnings; a fresh interpreter shows what a user sees."""

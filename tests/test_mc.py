@@ -28,9 +28,9 @@ from levystop import (
     solve_threshold,
     threshold_grid_search,
 )
-from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _crossing, _end_position,
-                         _engine_inputs, _fitted_argmax, _horizon, _jump_shift, _passage,
-                         _request, _stop_at, simulate_to_threshold)
+from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _crossing, _end_distance,
+                         _engine_inputs, _fitted_argmax, _horizon, _passage, _request, _stop_at,
+                         simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -333,8 +333,8 @@ class TestSinglePath:
 
 
 class TestGapEnd:
-    """One gap as the engine draws it, its end position and then its bridge's
-    crossing, against c t + sigma W_t over d: the passage-time CDF
+    """One gap as the engine draws it, its end's distance below the barrier and
+    then its bridge's crossing, against c t + sigma W_t over d: the passage-time CDF
     F(t) = Phi((ct - d)/(sigma sqrt t)) + e^{2cd/sigma^2} Phi((-ct - d)/(sigma sqrt t)),
     and, for the misses, Gaussian end positions kept when the Brownian bridge
     to them stays below the barrier."""
@@ -344,8 +344,8 @@ class TestGapEnd:
         d, s, sigma, n = 0.8, 2.0, 0.5, 200_000
         v = sigma * math.sqrt(s)
         gen = np.random.Generator(np.random.Philox(5))
-        end = _end_position(gen, np.zeros(n), np.full(n, s), c, sigma)
-        hit, dt = _crossing(gen, np.full(n, d), d - end, np.full(n, s), sigma * sigma)
+        e = _end_distance(gen, np.full(n, d), np.full(n, s), c, sigma)
+        hit, dt = _crossing(gen, np.full(n, d), e, np.full(n, s), sigma * sigma)
 
         def passage_cdf(t):
             sd = sigma * np.sqrt(t)
@@ -358,7 +358,7 @@ class TestGapEnd:
         assert stats.kstest(dt, lambda t: passage_cdf(t) / reach).pvalue > 1e-3
         ref = d - (c * s + v * gen.standard_normal(n))
         keep = gen.random(n) < -np.expm1(-2.0 * d * ref / v ** 2)
-        assert stats.ks_2samp(d - end[~hit], ref[keep]).pvalue > 1e-3
+        assert stats.ks_2samp(e[~hit], ref[keep]).pvalue > 1e-3
 
 
 class TestPolicyValue:
@@ -518,12 +518,17 @@ class TestGridSearch:
 
 
 # ---------------------------------------------------------------------------
-# Reference engine: the endpoint-first gap written out with np.where. A gap
-# draws its Gaussian end position when it starts; each pass decides with one
-# uniform whether the Brownian bridge to it crosses the next barrier, and
-# times a crossing with the Michael-Schucany-Haas sampler, all on the SFC64
-# chunk streams. Performance work on mc.py must keep every draw of every
-# stream, so the shipped engine must reproduce this one bit for bit.
+# Reference engine: the endpoint-first gap written out with np.where. A live
+# path is its row, its next barrier k, where its bridge starts (t) and ends
+# (gap) in time, and its distances d and e below barrier k at those times. A
+# gap draws its end distance when it starts; each pass decides with one
+# uniform per live path whether the Brownian bridge crosses barrier k, times
+# each crossing with the Michael-Schucany-Haas sampler (one normal, one
+# uniform), then draws the marks, exponential gaps and end normals of the
+# paths whose gap ends in a jump. The next pass takes those jumpers in their
+# order, then the hits that restart on barrier k + 1, in theirs. Performance
+# work on mc.py must keep every draw of every stream, the distances' formulas
+# and this order, so the shipped engine must reproduce this one bit for bit.
 # ---------------------------------------------------------------------------
 
 def _ref_passage(gen, d, c, s2):
@@ -537,8 +542,8 @@ def _ref_passage(gen, d, c, s2):
     return np.where(u * (den + a2d) <= den, t_lo, t_hi)
 
 
-def _ref_end(gen, pos, s, drift, sigma):
-    return pos + drift * s + sigma * np.sqrt(s) * gen.standard_normal(s.size)
+def _ref_end(gen, d, s, drift, sigma):
+    return d - (drift * s + sigma * np.sqrt(s) * gen.standard_normal(s.size))
 
 
 def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
@@ -552,32 +557,42 @@ def _ref_simulate_chunk(model, gen, n, start, levels, drift, horizon):
         gap = np.minimum(gen.exponential(1.0 / lam, n), horizon)
     hit0 = int(np.searchsorted(levels, start, side="right"))
     tau[:, :hit0] = 0.0
-    rows = np.arange(n if hit0 < m else 0)
-    pos, t, k, gap = np.full(rows.size, float(start)), np.zeros(rows.size), \
-        np.full(rows.size, hit0), gap[rows]
-    end = _ref_end(gen, pos, gap, drift, sigma)
-    with np.errstate(divide="ignore", over="ignore"):
+    if hit0 == m:
+        return tau
+    # barrier k's height above the start (k = hit0) or the barrier below it
+    rise = np.full(m + 1, np.inf)
+    rise[hit0] = levels[hit0] - start
+    rise[hit0 + 1:m] = levels[hit0 + 1:] - levels[hit0:-1]
+    rise = np.maximum(rise, 1e-12)
+    rows, k, t = np.arange(n), np.full(n, hit0), np.zeros(n)
+    d = np.full(n, rise[hit0])
+    e = _ref_end(gen, d, gap, drift, sigma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while rows.size:
-            lev = levels[k]
-            d = np.maximum(lev - pos, 1e-12)
-            e = lev - end
             s = gap - t
             hit = gen.random(rows.size) < np.exp(-2.0 * d * e / (s2 * s))
             nu = _ref_passage(gen, d[hit], (np.abs(e) / s)[hit], s2)
             dt = np.full(rows.size, np.inf)
             dt[hit] = s[hit] / (1.0 + s[hit] / nu)
-            t = np.where(hit, t + dt, gap)
-            tau[rows[hit], k[hit]] = t[hit]
-            k = k + hit
-            pos = np.where(hit, lev, end)
+            t_hit = t + dt
+            tau[rows[hit], k[hit]] = t_hit[hit]
+            jump = ~hit & (gap < horizon)
+            restart = hit & (k + 1 < m) & (t_hit < horizon)
+            w, wait, z = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size)
             if lam > 0:
-                jump = np.flatnonzero(~hit & (gap < horizon))
-                pos[jump] += _jump_shift(model, gen, jump.size)
-                gap[jump] = np.minimum(t[jump] + gen.exponential(1.0 / lam, jump.size), horizon)
-                end[jump] = _ref_end(gen, pos[jump], gap[jump] - t[jump], drift, sigma)
-            live = (k < m) & (t < horizon)
-            rows, pos, end = rows[live], pos[live], end[live]
-            t, k, gap = t[live], k[live], gap[live]
+                w[jump] = model.marks(model.jump_dist.sample(gen, jump.sum()))
+                wait[jump] = gen.exponential(1.0 / lam, jump.sum())
+                z[jump] = gen.standard_normal(jump.sum())
+            step = rise[k + 1]
+            t_new = np.where(jump, gap, t_hit)
+            gap_new = np.where(jump, np.minimum(gap + wait, horizon), gap)
+            d_new = np.where(jump, e + w, step)
+            s_new = gap_new - t_new
+            e_new = np.where(jump, d_new - (drift * s_new + sigma * np.sqrt(s_new) * z),
+                             e + step)
+            order = np.concatenate((np.flatnonzero(jump), np.flatnonzero(restart)))
+            rows, k, t, gap, d, e = (a[order]
+                                     for a in (rows, k + hit, t_new, gap_new, d_new, e_new))
     return tau
 
 

@@ -23,7 +23,10 @@ line of its own.
                 x_star column from its k1 column, for the capped or power
                 payoff of the record's model echo (sweep: of the override
                 flags, else of the config). A tabulated payoff's threshold
-                has no closed form and is listed as not judged.
+                has no closed form and is listed as not judged. Over the
+                moved simulate records, print the worst relative move of a
+                --y record's mean and of its stderr, and the worst move of a
+                --grid point's mean in units of that point's old stderr.
 
 Exits 0 when every request is identical, 1 otherwise.
 """
@@ -221,6 +224,25 @@ def threshold_errors(family: str, payoff: dict, sides: list) -> tuple[float, ...
     return tuple(errors)
 
 
+def simulate_moves(old: dict, moved: list) -> dict[str, float]:
+    """The worst moves of a simulate record's estimates: relative, for the mean
+    and stderr of a --y record; in the old stderr, for the means of --grid
+    points (inf where that scale is 0)."""
+    before, worst = fields(old["stdout"]), {}
+    for key, was, now in moved:
+        if _number(was) is None or _number(now) is None:
+            continue
+        if "--grid" in old["argv"] and key.startswith("points[") and key.endswith("].mean"):
+            name, scale = "--grid mean", float(before[key[:-len("mean")] + "stderr"])
+        elif "--y" in old["argv"] and key in ("mean", "stderr"):
+            name, scale = f"--y {key}", abs(float(was))
+        else:
+            continue
+        move = abs(float(now) - float(was))
+        worst[name] = max(worst.get(name, 0.0), move / scale if scale else math.inf)
+    return worst
+
+
 def _summary(what: str, errors: list) -> str:
     sides = [[abs(e) for e in side] for side in zip(*errors)] or [[0.0], [0.0]]
     return (f"verdict: {len(errors)} moved {what}, worst |error| old {max(sides[0]):.1f} ulp, "
@@ -241,6 +263,8 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
     errors, thresholds, unjudged = [], [], 0  # (old, new) errors in ulps of k1 and thresholds
+    simulated = {"--y": 0, "--grid": 0}  # moved simulate records, and their worst moves
+    sim_worst = {"--y mean": 0.0, "--y stderr": 0.0, "--grid mean": 0.0}
     for name in moved:
         a, b = old[name], new[name]
         print(f"moved: {name}", file=out)
@@ -251,6 +275,10 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
         for key, was, now in changes:
             print(f"  {key}: {was!r} -> {now!r}{change(was, now)}", file=out)
         if verdict:
+            if a["argv"][0] == "simulate":
+                simulated["--grid" if "--grid" in a["argv"] else "--y"] += 1
+                for key, move in simulate_moves(a, changes).items():
+                    sim_worst[key] = max(sim_worst[key], move)
             for label, cfg, was, now in k1_cases(b, changes):
                 errors.append(errors_in_ulps(cfg, was, now, checks))
                 print(f"  verdict {label}: old {errors[-1][0]:+.1f} ulp, "
@@ -268,6 +296,10 @@ def report(old: dict[str, dict], new: dict[str, dict], verdict: bool, out=None) 
         for name in names:
             print(f"{label}: {name}", file=out)
     if verdict:
+        print(f"verdict: {simulated['--y']} moved simulate --y, worst relative move of mean "
+              f"{sim_worst['--y mean']:.3g}, of stderr {sim_worst['--y stderr']:.3g}; "
+              f"{simulated['--grid']} moved simulate --grid, worst |new - old| point mean "
+              f"{sim_worst['--grid mean']:.3g} old stderr", file=out)
         print(_summary(f"closed-form thresholds ({unjudged} more not judged)", thresholds),
               file=out)
         print(_summary("k1", errors), file=out)
