@@ -28,15 +28,12 @@ from operator import eq, ge, gt, le, lt
 
 from ._numpy import np
 from .errors import InvalidModel, SolverError
-from .model import _PAYOFF_KINDS, Model, Payoff, _build, model_from_config, model_to_config
+from .model import Model, Payoff, model_from_config, model_to_config
 from .roots import psi_ratio, solve_k1
 
 UNCHECKED = [
     "payoff nonnegativity at jump landings below break-even is assumed, not certified",
 ]
-# --K, --I, --a, --b: every number a payoff kind takes, one flag per name
-_OVERRIDE_FLAGS = tuple(dict.fromkeys(
-    name for _, names in _PAYOFF_KINDS.values() for name, is_list in names.items() if not is_list))
 
 
 def _read_config(path: str) -> tuple[Model, Payoff | None]:
@@ -104,25 +101,11 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
     sys.stdout.write("".join(text for text, out in outputs if out is None))
 
 
-def _finite(args, name: str) -> float | None:
-    """The number flag --name, which must be finite when it is given."""
-    value = getattr(args, name)
-    if value is not None and not isfinite(value):
-        raise InvalidModel(f"--{name} must be a finite number, got {value}")
-    return value
-
-
 def _problem(args) -> tuple[Model, Payoff]:
-    """The config's model and payoff; --payoff and its flags replace the payoff."""
+    """The config's model and payoff, which the command needs."""
     model, payoff = _read_config(args.config)
-    if args.payoff:
-        kind = {"capped": "capped_call", "power": "power_call"}.get(args.payoff)
-        if kind is None:
-            raise InvalidModel(f"--payoff must be capped or power, got {args.payoff!r:.40}")
-        params = {n: _finite(args, n) for n in _OVERRIDE_FLAGS if getattr(args, n) is not None}
-        payoff = _build({"kind": kind, "params": params}, _PAYOFF_KINDS, "payoff override")
     if payoff is None:
-        raise InvalidModel(f"{args.command} needs a payoff (config key or --payoff flags)")
+        raise InvalidModel(f"{args.command} needs a payoff in the config")
     return model, payoff
 
 
@@ -142,7 +125,9 @@ def cmd_solve(args) -> int:
     from .stopping import value_fn
 
     model, payoff = _problem(args)
-    if _finite(args, "x") is not None:
+    if args.x is not None:
+        if not isfinite(args.x):
+            raise InvalidModel(f"--x must be a finite number, got {args.x}")
         model.require_states(args.x)  # one domain message for every x at or below the floor
     grid = _parse_range(args.grid) if args.grid else None
     report = bounds.sandwich(model, payoff, grid=grid)
@@ -285,16 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", required=True)
     config.add_argument("--out")
-    override = argparse.ArgumentParser(add_help=False)
-    override.add_argument("--payoff", help="override payoff kind (capped|power)")
-    for name in _OVERRIDE_FLAGS:
-        override.add_argument(f"--{name}", type=float)
 
     p_root = sub.add_parser("root", parents=[config], help="characteristic equation root + bracket")
     p_root.set_defaults(fn=cmd_root)
 
-    p_solve = sub.add_parser("solve", parents=[config, override],
-                             help="threshold, value, sandwich bounds")
+    p_solve = sub.add_parser("solve", parents=[config], help="threshold, value, sandwich bounds")
     p_solve.add_argument("--grid", help="value grid lo:hi:n")
     p_solve.add_argument("--x", type=float, help="report V and t* at this state")
     p_solve.add_argument("--csv", help="write the sandwich grid CSV here ('-' = stdout)")
@@ -308,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out")
     p_rep.set_defaults(fn=cmd_reproduce)
 
-    p_sweep = sub.add_parser("sweep", parents=[config, override],
+    p_sweep = sub.add_parser("sweep", parents=[config],
                              help="comparative statics over sigma or lambda")
     p_sweep.add_argument("--param", required=True, choices=["sigma", "lambda"])
     p_sweep.add_argument("--range", required=True, help="lo:hi:n")

@@ -42,6 +42,7 @@ TABLE1_CFG = {
     "jump_dist": {"kind": "gamma", "params": {"shape": 1.0, "rate": 1.0}},
     "r": 0.05,
 }
+CAPPED_CFG = dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 2.0, "I": 1.0}})
 
 
 @pytest.fixture
@@ -119,9 +120,8 @@ class TestSolve:
         assert float(rows[0]["x"]) == 0.5
         assert float(rows[-1]["x"]) == 3.0
 
-    def test_payoff_override(self, capsys, cfg_file):
-        code, out, _ = run_cli(capsys, "solve", "--config", cfg_file(TABLE1_CFG),
-                               "--payoff", "capped", "--K", "2", "--I", "1")
+    def test_capped_call_corner(self, capsys, cfg_file):
+        code, out, _ = run_cli(capsys, "solve", "--config", cfg_file(CAPPED_CFG))
         assert code == 0
         data = json.loads(out)
         assert data["x_star"] == 2.0
@@ -129,35 +129,22 @@ class TestSolve:
         # corner gap is k1 (K - I) exactly
         assert data["smooth_fit_gap"] == pytest.approx(data["k1"], abs=1e-15)
 
-    def test_override_requires_parameters(self, capsys, cfg_file):
-        # solve and sweep share one override parser, checked like a config payoff
-        for cfg, argv, named in [
-            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2"], "'I'"),
-            (TABLE1_CFG, ["solve", "--payoff", "tabulated"],
-             "--payoff must be capped or power, got 'tabulated'"),
-            (TABLE1_CFG, ["solve", "--payoff", "digital", "--K", "1"], "'digital'"),
-            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "inf", "--I", "1"],
-             "error: --K must be a finite number, got inf"),
-            (TABLE1_CFG, ["solve", "--payoff", "capped", "--K", "2", "--I", "1", "--a", "1"],
-             "'a'"),
-            (FIG2_CFG, ["sweep", "--payoff", "power", "--a", "1", "--b", "1",
-                        "--param", "sigma", "--range", "0.05:0.3:3"], "'K'"),
-        ]:
-            code, out, err = run_cli(capsys, argv[0], "--config", cfg_file(cfg), *argv[1:])
-            assert code == 2, argv
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert named in err, err
-        code, out, err = run_cli(capsys, "sweep", "--config", cfg_file(FIG2_CFG),
-                                 "--payoff", "power", "--a", "1", "--b", "1", "--K", "1",
-                                 "--param", "sigma", "--range", "0.05:0.3:3")
-        assert code == 0 and err == ""
-        assert out.splitlines()[0] == "sigma,k1,x_star,theta_star,mu_hat"
-
     def test_payoff_required(self, capsys, cfg_file):
         code, _, err = run_cli(capsys, "solve", "--config", cfg_file(TABLE1_CFG))
         assert code == 2
         assert "payoff" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["sweep", "--param", "sigma", "--range", "0.05:0.3:3"]])
+    def test_payoff_flags_are_usage_errors(self, capsys, cfg_file, argv):
+        # the payoff is stated once, in the config
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", cfg_file(CAPPED_CFG), *argv[1:],
+                  "--payoff", "capped", "--K", "2", "--I", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --payoff capped --K 2 --I 1" in err
 
 
 class TestReproduce:
@@ -236,9 +223,9 @@ class TestSweep:
     def test_lambda_sweep(self, capsys, cfg_file):
         # cap wide enough that every lambda stays on the interior branch;
         # a binding cap would pin x_star and break strict monotonicity
-        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(TABLE1_CFG),
-                               "--param", "lambda", "--range", "0.0:0.3:4",
-                               "--payoff", "capped", "--K", "10", "--I", "1")
+        cfg = dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 10.0, "I": 1.0}})
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(cfg),
+                               "--param", "lambda", "--range", "0.0:0.3:4")
         assert code == 0
         assert "# k1 strictly_decreasing" in out
         assert "# x_star strictly_increasing" in out
@@ -262,9 +249,8 @@ class TestSweep:
     def test_threshold_pinned_at_cap_is_constant(self, capsys, cfg_file):
         # every sigma leaves x_star at the cap K = 2: a flat column is not a
         # counterexample to monotonicity
-        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(TABLE1_CFG),
-                               "--param", "sigma", "--range", "0.05:0.3:4",
-                               "--payoff", "capped", "--K", "2", "--I", "1")
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg_file(CAPPED_CFG),
+                               "--param", "sigma", "--range", "0.05:0.3:4")
         assert code == 0
         lines = out.split("\r\n")
         assert [row.split(",")[2] for row in lines[1:5]] == ["2.0"] * 4
@@ -810,9 +796,9 @@ class TestRepeatedCalls:
         fig2 = cfg_file(FIG2_CFG, "fig2.json")
         bad = cfg_file(dict(FIG2_CFG, drift="abc"), "bad.json")
         requests = [
-            (["solve", "--config", table1, "--payoff", "capped", "--K", "2", "--I", "1"], 0),
-            (["solve", "--config", table1], 2),  # the override must not carry over
             (["solve", "--config", fig2, "--x", "1.0", "--csv", "-"], 0),
+            (["solve", "--config", fig2], 0),  # neither --x nor --csv may carry over
+            (["solve", "--config", table1], 2),
             (["sweep", "--config", fig2, "--param", "sigma", "--range", "0.05:0.3:6"], 0),
             (["reproduce", "--target", "table1"], 0),
             (["root", "--config", fig2], 0),
@@ -857,7 +843,6 @@ TABULATED_CFG = dict(TABLE1_CFG, jump_dist={
     "kind": "tabulated", "params": {"nodes": [0.2, 0.8], "weights": [0.4, 0.6]}},
     payoff={"kind": "tabulated", "params": {
         "breakpoints": [-0.5, 0.2, 0.9, 1.6], "values": [-0.4, -0.1, 0.5, 1.2]}})
-CAPPED_CFG = dict(TABLE1_CFG, payoff={"kind": "capped_call", "params": {"K": 2.0, "I": 1.0}})
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4), st.integers(-10 ** 400, 10 ** 400),
     st.floats(), st.lists(st.floats(), max_size=3),
@@ -1047,6 +1032,38 @@ class TestCorpusDiff:
         lines = buf.getvalue().splitlines()
         assert "  verdict x_star from k1: not judged (tabulated payoff)" in lines
         assert lines[-2].startswith("verdict: 0 moved closed-form thresholds (2 more not judged)")
+
+    def test_verdict_judges_sweep_thresholds_by_their_config_payoff(self):
+        # a sweep's x_star cell is judged at its row's k1 for the payoff of its config,
+        # here the capped call K 2, I 1: on the arithmetic family x* = I + 1/k while
+        # k (K - I) >= 1 (1.5 at k = 2), on the geometric x* = k I/(k - 1) while
+        # k (K - I) >= K (1.5 at k = 3), and the cap K = 2 otherwise (at k = 0.5, 1.5)
+        diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")
+
+        def record(name, cfg, rows):
+            lines = ["sigma,k1,x_star,theta_star,mu_hat",
+                     *(f"{s!r},{k!r},{x!r},0.5,0.5" for s, k, x in rows)]
+            return {"request": name, "argv": ["sweep", "--config", json.dumps(cfg), "--param",
+                                              "sigma", "--range", "0.1:0.2:2"],
+                    "exit": 0, "stdout": "\r\n".join(lines) + "\r\n", "stderr": ""}
+        geometric = dict(FIG2_CFG, payoff=CAPPED_CFG["payoff"])
+        old = {"geometric": record("geometric", geometric, [(0.1, 3.0, 1.5), (0.2, 1.5, 2.0)]),
+               "arithmetic": record("arithmetic", CAPPED_CFG, [(0.1, 2.0, 1.5), (0.2, 0.5, 2.0)])}
+        new = {"geometric": record("geometric", geometric,
+                                   [(0.1, 3.0, math.nextafter(1.5, 2.0)), (0.2, 1.5, 2.0)]),
+               "arithmetic": record("arithmetic", CAPPED_CFG,
+                                    [(0.1, 2.0, math.nextafter(1.5, 1.0)),
+                                     (0.2, 0.5, math.nextafter(2.0, 3.0))])}
+        buf = io.StringIO()
+        assert diff.report(old, new, verdict=True, out=buf) == 1
+        lines = buf.getvalue().splitlines()
+        assert [line for line in lines if line.startswith("  verdict ")] == [
+            "  verdict csv[0].x_star from csv[0].k1: old +0.0 ulp, new +1.0 ulp",
+            "  verdict csv[0].x_star from csv[0].k1: old +0.0 ulp, new -1.0 ulp",
+            "  verdict csv[1].x_star from csv[1].k1: old +0.0 ulp, new +1.0 ulp"]
+        assert lines[-2] == ("verdict: 3 moved closed-form thresholds (0 more not judged), "
+                             "worst |error| old 0.0 ulp, new 1.0 ulp; "
+                             "median |error| old 0.0 ulp, new 1.0 ulp")
 
     def test_verdict_sums_up_moved_simulate_records(self):
         diff = _load(Path(__file__).resolve().parent.parent / "tools" / "corpus_diff.py")

@@ -12,13 +12,13 @@ The corpus (515 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
-  - solve --grid, a capped-call override, a two-peak tabulated payoff, a
-    tabulated payoff whose PCHIP tail is flat, and on the README config
-    solve --x=0.429 beside simulate --x 0.429 --y x* (its target_analytic
-    is solve's value), with and without --assert (exit 0), simulate --grid
-    --assert on a tabulated payoff where one threshold is not optimal
-    (exit 4), all six reproduce targets at --precision 2 and full, and two
-    error cases (exit 2 and exit 3);
+  - solve --grid, a capped call on the table1 model, a two-peak tabulated
+    payoff, a tabulated payoff whose PCHIP tail is flat, and on the README
+    config solve --x=0.429 beside simulate --x 0.429 --y x* (its
+    target_analytic is solve's value), with and without --assert (exit 0),
+    simulate --grid --assert on a tabulated payoff where one threshold is
+    not optimal (exit 4), all six reproduce targets at --precision 2 and
+    full, and two error cases (exit 2 and exit 3);
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
     barrier, and --grid from below every level, then --grid from a start
@@ -78,8 +78,8 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
             out += per_config(f"seed{seed} {fam}-{law}-{pay}", problems.problem(rng, fam, law, pay))
     out += [
         ("readme solve grid", readme, ["solve", "--grid", "0.5:3.0:11"]),
-        ("table1 capped override", problems.TABLE1_CONFIG,
-         ["solve", "--x=0.5", "--payoff", "capped", "--K", "2", "--I", "1"]),
+        ("table1 capped call", dict(problems.TABLE1_CONFIG, payoff={
+            "kind": "capped_call", "params": {"K": 2.0, "I": 1.0}}), ["solve", "--x=0.5"]),
         ("two-peak tabulated", TWO_PEAK, ["solve", "--x=0.5"]),
         ("flat-ending tabulated", FLAT_END, ["solve", "--x=0.8"]),
         ("readme solve x=0.429", readme, ["solve", "--x=0.429"]),

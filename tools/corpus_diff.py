@@ -21,12 +21,12 @@ line of its own.
                 printed root: solve's x_star from k1, x_star_low from
                 bracket_high and x_star_high from bracket_low, and the sweep
                 x_star column from its k1 column, for the capped or power
-                payoff of the record's model echo (sweep: of the override
-                flags, else of the config). A tabulated payoff's threshold
-                has no closed form and is listed as not judged. Over the
-                moved simulate records, print the worst relative move of a
-                --y record's mean and of its stderr, and the worst move of a
-                --grid point's mean in units of that point's old stderr.
+                payoff of the record's model echo (sweep: of its config). A
+                tabulated payoff's threshold has no closed form and is
+                listed as not judged. Over the moved simulate records, print
+                the worst relative move of a --y record's mean and of its
+                stderr, and the worst move of a --grid point's mean in units
+                of that point's old stderr.
 
 Exits 0 when every request is identical, 1 otherwise.
 """
@@ -48,7 +48,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_KEYS = {"sigma": "volatility", "lambda": "lambda"}
 THRESHOLD_ROOTS = {"x_star": "k1", "x_star_low": "bracket_high", "x_star_high": "bracket_low"}
-OVERRIDE_KINDS = {"capped": "capped_call", "power": "power_call"}
 
 
 def write_corpora(rev: str, old: Path, new: Path) -> None:
@@ -169,17 +168,10 @@ def errors_in_ulps(cfg: dict, old: float, new: float, checks) -> tuple[float, fl
 
 def _payoff(record: dict) -> tuple[str, dict | None]:
     """The family and payoff a record was solved for: solve's model echo, or
-    a sweep's config with the payoff of its override flags, if any."""
-    argv = record["argv"]
-    if argv[0] != "sweep":
-        model = json.JSONDecoder().raw_decode(record["stdout"])[0]["model"]
-        return model["family"], model["payoff"]
-    cfg = _config(record)
-    if "--payoff" not in argv:
-        return cfg["family"], cfg.get("payoff")
-    params = {a[2:]: float(b) for a, b in zip(argv, argv[1:]) if a in ("--K", "--I", "--a", "--b")}
-    return cfg["family"], {"kind": OVERRIDE_KINDS[argv[argv.index("--payoff") + 1]],
-                           "params": params}
+    a sweep's config."""
+    model = (_config(record) if record["argv"][0] == "sweep"
+             else json.JSONDecoder().raw_decode(record["stdout"])[0]["model"])
+    return model["family"], model["payoff"]
 
 
 def threshold_cases(old: dict, new: dict, moved: list) -> list[tuple[str, list]]:
