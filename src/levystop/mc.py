@@ -9,7 +9,7 @@ ends e = d - (c s + sigma sqrt(s) Z) below it, drawn when the gap
 starts. Given both ends, the path is a Brownian bridge, and one uniform
 decides whether it crosses the next barrier (see _crossing); a
 crossing's time is one Michael-Schucany-Haas draw (1976, see _passage),
-time-changed into the bridge.
+time-changed into the bridge (see _hit_times).
 
 A crossing inside the gap is the hit time, exactly. Downward jumps
 cannot cross a barrier, which is the spectral-negativity fact the whole
@@ -36,6 +36,9 @@ performance changes keep: one uniform per live path; one normal then one
 uniform per crossing; then, for the gaps that end in a jump, the jump
 marks, the next exponential gaps and one normal each for their ends. The
 next pass takes the jumpers in their order, then the restarts in theirs.
+A pass with a crossing below the top barrier times its crossings at once,
+for the restarts; any other pass's crossings end their paths, so the chunk
+times them in one batch at its end, from the draws their pass made.
 Every result is the same to the bit as the formulas written out in that
 order (at most the operands of + and * swapped).
 """
@@ -138,15 +141,17 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
     IG(d/c, d^2/s2) is t_lo with probability p = d/(d + c t_lo), else t_hi.
     Every term is positive, so nothing cancels as c -> 0, and c = 0 gives
     p = 1 and t_lo = d^2/nu, the Levy law.
-
-    Every step writes into an array this call already owns; d and c are only read.
     """
+    return _msh(d, c, s2, gen.standard_normal(d.size), gen.random(d.size))
+
+
+def _msh(d: np.ndarray, c: np.ndarray | float, s2: float, nu: np.ndarray,
+         u: np.ndarray) -> np.ndarray:
+    """_passage's formula on its draws nu and u; both are overwritten, the result is nu."""
     c2 = np.multiply(c, 2.0)
     a2d = c2 * d  # 2cd
-    nu = gen.standard_normal(d.size)
     np.square(nu, out=nu)
     nu *= s2
-    u = gen.random(d.size)
     # c = 0 makes t_hi 0/0 or x/0, never chosen; Z = 0 there too makes t_lo = inf
     with np.errstate(divide="ignore", invalid="ignore"):
         den = a2d * 2.0
@@ -170,24 +175,30 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
 
 
 def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndarray,
-              s2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which Brownian bridges cross a barrier (a mask), and when (the times
-    of the paths it selects); d, e and s are only read.
+              s2: float) -> np.ndarray:
+    """Which Brownian bridges cross a barrier, as a mask; d, e and s are only read.
 
     Over time s the bridge runs from distance d > 0 below the barrier to
     distance e below it. It crosses with probability exp(-2de/(s2 s))
-    (Metwally & Atiya 2002), at least 1 when e <= 0. In the time
-    nu = s t/(s - t) it crosses when a Brownian motion with drift -e/s
-    passes d, and given that it does, the drift is |e|/s: a crossing comes
-    s/(1 + s/nu) after the bridge starts, nu that passage time.
+    (Metwally & Atiya 2002), at least 1 when e <= 0. When no uniform is below
+    e^-700 (gen.random's are 0 or at least 2^-53), exponents below -700 are
+    raised to it: no coin changes, and exp stays off its slow tiny-result path.
     """
-    hit = gen.random(d.size) < np.exp(-2.0 * d * e / (s2 * s))
-    got = hit.nonzero()[0]
-    sg = s[got]
-    nu = _passage(gen, d[got], np.abs(e[got]) / sg, s2)
-    np.divide(sg, nu, out=nu)
+    u, a = gen.random(d.size), -2.0 * d * e / (s2 * s)
+    if u.min() >= exp(-700.0):
+        np.maximum(a, -700.0, out=a)
+    return u < np.exp(a, out=a)
+
+
+def _hit_times(s2: float, t: np.ndarray, d: np.ndarray, e: np.ndarray, s: np.ndarray,
+               nu: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """When crossing bridges that start at t cross, from _passage's draws nu and u (both
+    overwritten). In the time nu = s r/(s - r), r after t, a bridge crosses when a Brownian
+    motion with drift -e/s passes d, whose drift given that it does is |e|/s: r = s/(1 + s/nu)."""
+    nu = _msh(d, np.abs(e) / s, s2, nu, u)
+    np.divide(s, nu, out=nu)
     nu += 1.0
-    return hit, np.divide(sg, nu, out=nu)
+    return np.add(np.divide(s, nu, out=nu), t, out=nu)
 
 
 def _end_distance(gen: np.random.Generator, d: np.ndarray, s: np.ndarray, c: float,
@@ -215,14 +226,26 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
 
     cell, t, d = np.arange(n), np.zeros(n), np.full(n, rise[0])  # see the module docstring
     e = _end_distance(gen, d, gap, drift, sigma)
+    s2, last, late = sigma * sigma, top - width, []  # late: crossings timed at the end
 
     with np.errstate(divide="ignore", over="ignore"):
         while cell.size:
-            hit, dt = _crossing(gen, d, e, gap - t, sigma * sigma)
-            got = hit.nonzero()[0]
-            dt += t[got]
-            at = cell[got]
-            cells[at] = dt
+            s = gap - t
+            hit = _crossing(gen, d, e, s, s2)
+            got, restart = hit.nonzero()[0], ()
+            if got.size:
+                at = cell[got]
+                crossed = (t[got], d[got], e[got], s[got], gen.standard_normal(got.size),
+                           gen.random(got.size))
+                if at.min() >= last:  # every crossing ends its path: nothing reads its time yet
+                    late.append((at, *crossed))
+                else:
+                    dt = cells[at] = _hit_times(s2, *crossed)
+                    at += width  # a hit below the top barrier restarts on it, in the same bridge
+                    up = np.flatnonzero((at < top) & (dt < horizon))
+                    at, was = at[up], got[up]
+                    step = rise[at // width]
+                    restart = (at, dt[up], gap[was], step, e[was] + step)
             # a miss that ends before the horizon jumps W further below its barrier there
             jump = np.logical_not(hit, out=hit)
             jump &= gap < horizon
@@ -233,16 +256,12 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
                 d_j += model.marks(model.jump_dist.sample(gen, jump.size))
                 g_j = np.minimum(t_j + gen.exponential(1.0 / lam, jump.size), horizon)
                 e_j = _end_distance(gen, d_j, g_j - t_j, drift, sigma)
-            state = [cell[jump], t_j, g_j, d_j, e_j]
-            # a hit below the top barrier restarts on it, inside the same bridge, after the jumpers
-            at += width
-            up = np.flatnonzero((at < top) & (dt < horizon))
-            if up.size:
-                at, was = at[up], got[up]
-                step = rise[at // width]
-                for i, part in enumerate((at, dt[up], gap[was], step, e[was] + step)):
-                    state[i] = np.concatenate((state[i], part))
-            cell, t, gap, d, e = state
+            cell, t, gap, d, e = state = cell[jump], t_j, g_j, d_j, e_j
+            if restart:  # after the jumpers
+                cell, t, gap, d, e = map(np.concatenate, zip(state, restart))
+        if late:  # one batch, the same formulas element by element
+            at, *crossed = map(np.concatenate, zip(*late))
+            cells[at] = _hit_times(s2, *crossed)
 
 
 def _request(model: Model, x0, levels, n: int, seed: int,

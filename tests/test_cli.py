@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import tarfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -910,7 +911,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 515
+        assert len(records) == 516
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}
@@ -1093,6 +1094,30 @@ class TestCorpusDiff:
         buf = io.StringIO()
         diff.report(old, new, verdict=True, out=buf)
         assert buf.getvalue().splitlines()[-3].endswith("point mean inf old stderr")
+
+    def test_parent_corpus_comes_from_the_parents_own_script(self, monkeypatch, tmp_path):
+        # --parent REV: REV's tools/cli_corpus.py runs on REV's src/, so a request
+        # only one side's list has shows as added or removed, not as moved
+        root = Path(__file__).resolve().parent.parent
+        diff = _load(root / "tools" / "corpus_diff.py")
+        empty = io.BytesIO()
+        tarfile.open(fileobj=empty, mode="w").close()
+        calls = []
+
+        def run(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, stdout=empty.getvalue())
+
+        monkeypatch.setattr(diff.subprocess, "run", run)
+        diff.write_corpora("REV", tmp_path / "old", tmp_path / "new")
+        archive, old, new = calls
+        assert archive[archive.index("REV"):] == ["REV", "src", "tools", "perfbench"]
+        parent = Path(old[1]).parent.parent
+        assert parent != root
+        assert old[1:] == [str(parent / "tools" / "cli_corpus.py"), str(parent / "src"),
+                           str(tmp_path / "old")]
+        assert new[1:] == [str(root / "tools" / "cli_corpus.py"), str(root / "src"),
+                           str(tmp_path / "new")]
 
 
 class TestStderrOutsidePytest:

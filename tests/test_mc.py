@@ -29,8 +29,8 @@ from levystop import (
     threshold_grid_search,
 )
 from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _crossing, _end_distance,
-                         _engine_inputs, _fitted_argmax, _horizon, _passage, _request, _stop_at,
-                         simulate_to_threshold)
+                         _engine_inputs, _fitted_argmax, _hit_times, _horizon, _passage, _request,
+                         _stop_at, simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
 
@@ -345,7 +345,10 @@ class TestGapEnd:
         v = sigma * math.sqrt(s)
         gen = np.random.Generator(np.random.Philox(5))
         e = _end_distance(gen, np.full(n, d), np.full(n, s), c, sigma)
-        hit, dt = _crossing(gen, np.full(n, d), e, np.full(n, s), sigma * sigma)
+        hit = _crossing(gen, np.full(n, d), e, np.full(n, s), sigma * sigma)
+        k = int(hit.sum())
+        dt = _hit_times(sigma * sigma, np.zeros(k), np.full(k, d), e[hit], np.full(k, s),
+                        gen.standard_normal(k), gen.random(k))
 
         def passage_cdf(t):
             sd = sigma * np.sqrt(t)
@@ -359,6 +362,36 @@ class TestGapEnd:
         ref = d - (c * s + v * gen.standard_normal(n))
         keep = gen.random(n) < -np.expm1(-2.0 * d * ref / v ** 2)
         assert stats.ks_2samp(e[~hit], ref[keep]).pvalue > 1e-3
+
+
+class TestCoin:
+    """_crossing's mask is u < e^a with a = -2de/(s2 s), bit for bit, whether
+    exponents below -700 are raised to it (no uniform below e^-700) or not."""
+
+    EXPONENTS = np.concatenate([-np.logspace(4.0, -3.0, 60), np.linspace(-745.2, -700.0, 61),
+                                [0.0, -700.0, np.nextafter(-700.0, -1e4), -708.4, -745.13,
+                                 -745.14, -746.0]])
+
+    @pytest.mark.parametrize("uniforms", [
+        [2.0 ** -53, 0.25, 0.5, 1.0 - 2.0 ** -53],  # none 0, as gen.random gives them
+        [0.0, 2.0 ** -53, 0.5],  # an exact 0: e^a = 0 below about -745.13 is no hit
+        [5e-324, 1e-310, math.exp(-700.0), np.nextafter(math.exp(-700.0), 0.0), 0.5],
+    ], ids=["nonzero", "with_zero", "tiny"])
+    def test_mask_is_u_below_exp(self, uniforms):
+        a, u = (v.ravel() for v in np.meshgrid(self.EXPONENTS, uniforms))
+
+        class Fixed:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        one = np.ones(u.size)  # -2 * 1 * (-a) / (2 * 1) is a exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit = _crossing(Fixed(), one, -a, one, 2.0)
+            want = u < np.exp(a)
+        assert np.array_equal(hit, want)
+        assert want.any() and not want.all()
 
 
 class TestPolicyValue:
@@ -623,8 +656,19 @@ class TestReferenceStream:
         (fig2_model(), 1.0, [1.5, 2.0, 2.4], 70_000),
         # levels passed at time 0 are zeroed in the second chunk's columns too
         (fig2_model(), 2.3, np.linspace(2.0, 2.8, 17), 70_000),
+        # one barrier: every crossing ends its path, so each is timed when its chunk ends
+        (fig2_model(), 1.0, [2.39], 3000),
+        (table1_model(sigma=0.25, lam=0.2), 0.0, [2.0], 3000),
+        (Model(Family.ARITHMETIC, -0.3, 0.4, 1.0, ExponentialJumps(10.0), 0.05), 0.0,
+         [0.3], 2000),
+        # lambda = 0: one bridge to the horizon, one pass
+        (Model(Family.ARITHMETIC, 0.04, 0.3, 0.0, ExponentialJumps(4.0), 0.05), 0.0,
+         [0.5], 2000),
+        (fig2_model(), 1.0, [2.39], 70_000),
     ], ids=["fig2", "table1", "negative_engine_drift", "zero_engine_drift",
-            "start_inside_grid", "two_chunks", "start_inside_grid_two_chunks"])
+            "start_inside_grid", "two_chunks", "start_inside_grid_two_chunks",
+            "one_barrier_fig2", "one_barrier_table1", "one_barrier_negative_engine_drift",
+            "one_barrier_no_jumps", "one_barrier_two_chunks"])
     def test_first_passage_times_match(self, model, x, levels, n):
         got = first_passage_times(model, x, levels, n, seed=17)
         ref = _ref_first_passage_times(model, x, levels, n, seed=17)

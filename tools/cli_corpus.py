@@ -8,7 +8,7 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (515 requests):
+The corpus (516 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
@@ -22,8 +22,9 @@ The corpus (515 requests):
   - seeded simulate runs (n = 2000, seed 3) on the 8 Monte Carlo reference
     models with their reference payoffs: --y from below and from above the
     barrier, and --grid from below every level, then --grid from a start
-    between two levels (so the first levels are passed at time 0), and one
-    fig2 --grid run at n = 70000, which spans two engine chunks.
+    between two levels (so the first levels are passed at time 0), and
+    fig2 --grid and fig2 --y 2.39 (one barrier) runs at n = 70000, which
+    span two engine chunks.
 """
 from __future__ import annotations
 
@@ -118,6 +119,8 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
     out.append(("simulate fig2 grid two chunks", fig2,
                 ["simulate", "--x", "1.0", "--grid", SIM_GRID["geometric"],
                  "--n", "70000", "--seed", "3"]))
+    out.append(("simulate fig2 y two chunks", fig2,
+                ["simulate", "--x", "1.0", "--y", "2.39", "--n", "70000", "--seed", "3"]))
     return out
 
 

@@ -9,9 +9,11 @@ by their path (``points[2].mean``), CSV cells as ``csv[row].column`` and
 CSV trailer lines as ``csv#i``. A moved exit code or stderr is listed on a
 line of its own.
 
-  --parent REV  first write both corpora: OLD from REV's src/, exported with
-                git archive into a temporary directory, and NEW from this
-                tree's src/, each by tools/cli_corpus.py in a fresh process.
+  --parent REV  first write both corpora, each by its own tree's
+                tools/cli_corpus.py in a fresh process: OLD from REV's src/,
+                tools/ and perfbench/, exported with git archive into a
+                temporary directory, and NEW from this tree. A request that
+                only one side's list has shows as added or removed.
   --verdict     re-solve every moved k1 (the k1 of root and solve, the k1
                 column of sweep) in mpmath at 40 digits, with the equation
                 of perfbench/checks.py, and print each side's error in units
@@ -51,16 +53,16 @@ THRESHOLD_ROOTS = {"x_star": "k1", "x_star_low": "bracket_high", "x_star_high": 
 
 
 def write_corpora(rev: str, old: Path, new: Path) -> None:
-    """OLD from rev's src/, NEW from this tree's, by tools/cli_corpus.py."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
+    """OLD by rev's tools/cli_corpus.py from rev's src/, NEW by this tree's."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src",
+                              "tools", "perfbench"], capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
             tar.extractall(tmp, **safe)
-        for src, out in ((Path(tmp) / "src", old), (ROOT / "src", new)):
-            subprocess.run([sys.executable, str(ROOT / "tools" / "cli_corpus.py"), str(src),
-                            str(out)], check=True, stdout=subprocess.DEVNULL)
+        for tree, out in ((Path(tmp), old), (ROOT, new)):
+            subprocess.run([sys.executable, str(tree / "tools" / "cli_corpus.py"),
+                            str(tree / "src"), str(out)], check=True, stdout=subprocess.DEVNULL)
 
 
 def load(path: Path) -> dict[str, dict]:
@@ -302,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--parent", metavar="REV", help="write OLD from REV's src/, NEW from ./src")
+    parser.add_argument("--parent", metavar="REV",
+                        help="write OLD with REV's tools/ and src/, NEW with this tree's")
     parser.add_argument("--verdict", action="store_true",
                         help="mpmath errors of moved k1 and closed-form thresholds")
     args = parser.parse_args(argv)
