@@ -41,6 +41,15 @@ for the restarts; any other pass's crossings end their paths, so the chunk
 times them in one batch at its end, from the draws their pass made.
 Every result is the same to the bit as the formulas written out in that
 order (at most the operands of + and * swapped).
+
+A pass writes its temporaries in place, into arrays it has just made: the
+coin's exponent, the passage drift |e|/s, a gap's end distance and a
+jumper's next gap end; a passage time takes its root by one select, not a
+masked divide. The bridge steps only read the live arrays and the
+crossings' gathers they are given, so the restarts are built from those
+gathers (the crossings' cells and their e); they are filtered only when
+some crossing ends its path or reaches the horizon. None of this moves a
+draw.
 """
 from __future__ import annotations
 
@@ -147,13 +156,14 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
 
 def _msh(d: np.ndarray, c: np.ndarray | float, s2: float, nu: np.ndarray,
          u: np.ndarray) -> np.ndarray:
-    """_passage's formula on its draws nu and u; both are overwritten, the result is nu."""
+    """_passage's formula on its draws nu and u, which are both overwritten."""
     c2 = np.multiply(c, 2.0)
     a2d = c2 * d  # 2cd
     np.square(nu, out=nu)
     nu *= s2
-    # c = 0 makes t_hi 0/0 or x/0, never chosen; Z = 0 there too makes t_lo = inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # c = 0 makes t_hi 0/0 or x/0, never chosen, and a tiny c overflows it to inf;
+    # Z = 0 with c = 0 makes t_lo = inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         den = a2d * 2.0
         den += nu
         den *= nu
@@ -167,11 +177,11 @@ def _msh(d: np.ndarray, c: np.ndarray | float, s2: float, nu: np.ndarray,
         # t_lo when den = 0, where t_lo = inf is the Levy time for Z = 0
         a2d += den
         u *= a2d
-        high = np.less_equal(u, den)
-        np.logical_not(high, out=high)  # not <=, so a NaN takes t_hi
+        low = np.less_equal(u, den)  # t_lo; anything else, a NaN too, takes t_hi
         c2 *= c
-        np.divide(den, c2, out=tau, where=high)  # t_hi
-    return tau
+        # t_hi everywhere, then a select: a masked divide costs several times both
+        t_hi = np.divide(den, c2, out=den)
+    return np.where(low, tau, t_hi)
 
 
 def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndarray,
@@ -184,7 +194,9 @@ def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndar
     e^-700 (gen.random's are 0 or at least 2^-53), exponents below -700 are
     raised to it: no coin changes, and exp stays off its slow tiny-result path.
     """
-    u, a = gen.random(d.size), -2.0 * d * e / (s2 * s)
+    u, a = gen.random(d.size), np.multiply(d, -2.0)
+    a *= e
+    a /= s2 * s
     if u.min() >= exp(-700.0):
         np.maximum(a, -700.0, out=a)
     return u < np.exp(a, out=a)
@@ -193,9 +205,12 @@ def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndar
 def _hit_times(s2: float, t: np.ndarray, d: np.ndarray, e: np.ndarray, s: np.ndarray,
                nu: np.ndarray, u: np.ndarray) -> np.ndarray:
     """When crossing bridges that start at t cross, from _passage's draws nu and u (both
-    overwritten). In the time nu = s r/(s - r), r after t, a bridge crosses when a Brownian
-    motion with drift -e/s passes d, whose drift given that it does is |e|/s: r = s/(1 + s/nu)."""
-    nu = _msh(d, np.abs(e) / s, s2, nu, u)
+    overwritten; t, d, e and s are only read). In the time nu = s r/(s - r), r after t, a
+    bridge crosses when a Brownian motion with drift -e/s passes d, whose drift given that it
+    does is |e|/s: r = s/(1 + s/nu)."""
+    c = np.abs(e)
+    c /= s
+    nu = _msh(d, c, s2, nu, u)
     np.divide(s, nu, out=nu)
     nu += 1.0
     return np.add(np.divide(s, nu, out=nu), t, out=nu)
@@ -203,8 +218,14 @@ def _hit_times(s2: float, t: np.ndarray, d: np.ndarray, e: np.ndarray, s: np.nda
 
 def _end_distance(gen: np.random.Generator, d: np.ndarray, s: np.ndarray, c: float,
                   sigma: float) -> np.ndarray:
-    """How far below a barrier gaps of length s that start d below it end."""
-    return d - (c * s + sigma * np.sqrt(s) * gen.standard_normal(s.size))
+    """How far below a barrier gaps of length s that start d below it end:
+    d - (c s + sigma sqrt(s) Z); d and s are only read."""
+    b = np.sqrt(s)
+    b *= sigma
+    b *= gen.standard_normal(s.size)
+    a = np.multiply(s, c)
+    a += b
+    return np.subtract(d, a, out=a)
 
 
 def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels: np.ndarray,
@@ -242,10 +263,14 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
                 else:
                     dt = cells[at] = _hit_times(s2, *crossed)
                     at += width  # a hit below the top barrier restarts on it, in the same bridge
-                    up = np.flatnonzero((at < top) & (dt < horizon))
-                    at, was = at[up], got[up]
+                    e_up = crossed[2]  # e[got], which _hit_times only read
+                    up = (at < top) & (dt < horizon)
+                    if not up.all():  # the top barrier or the horizon ends some paths
+                        up = up.nonzero()[0]
+                        at, dt, e_up, got = at[up], dt[up], e_up[up], got[up]
                     step = rise[at // width]
-                    restart = (at, dt[up], gap[was], step, e[was] + step)
+                    e_up += step
+                    restart = (at, dt, gap[got], step, e_up)
             # a miss that ends before the horizon jumps W further below its barrier there
             jump = np.logical_not(hit, out=hit)
             jump &= gap < horizon
@@ -254,7 +279,9 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
             g_j = e_j = t_j  # no jumper: all empty
             if jump.size:
                 d_j += model.marks(model.jump_dist.sample(gen, jump.size))
-                g_j = np.minimum(t_j + gen.exponential(1.0 / lam, jump.size), horizon)
+                g_j = gen.exponential(1.0 / lam, jump.size)
+                g_j += t_j
+                np.minimum(g_j, horizon, out=g_j)
                 e_j = _end_distance(gen, d_j, g_j - t_j, drift, sigma)
             cell, t, gap, d, e = state = cell[jump], t_j, g_j, d_j, e_j
             if restart:  # after the jumpers

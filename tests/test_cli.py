@@ -911,7 +911,7 @@ class TestCorpus:
         corpus = _load(root / "tools" / "cli_corpus.py")
         problems = _load(root / "perfbench" / "problems.py")
         records = list(corpus.results(problems, main))
-        assert len(records) == 516
+        assert len(records) == 517
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
             "error bad drift": 2, "error undominated power": 3}

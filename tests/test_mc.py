@@ -394,6 +394,23 @@ class TestCoin:
         assert want.any() and not want.all()
 
 
+class TestBridgeStepsOnlyRead:
+    """The bridge steps write their temporaries into arrays they make: a grid
+    restart reuses the crossing's gathered e after _hit_times has timed it."""
+
+    def test_inputs_come_back_unchanged(self):
+        gen = np.random.Generator(np.random.SFC64(13))
+        n, s2 = 1000, 0.09
+        t, d, s = gen.uniform(0.0, 10.0, n), gen.uniform(1e-3, 1.0, n), gen.uniform(1e-3, 5.0, n)
+        e = gen.normal(0.0, 1.0, n)  # some bridges end above the barrier
+        before = [a.copy() for a in (t, d, e, s)]
+        outs = (_end_distance(gen, d, s, 0.05, 0.3), _crossing(gen, d, e, s, s2),
+                _hit_times(s2, t, d, e, s, gen.standard_normal(n), gen.random(n)))
+        for a, b in zip((t, d, e, s), before):
+            assert np.array_equal(a, b)
+            assert not any(np.shares_memory(a, out) for out in outs)
+
+
 class TestPolicyValue:
     def test_factorizes_through_laplace(self, fig2):
         payoff = PowerCall(1.0, 1.0, 1.0)
@@ -794,5 +811,6 @@ class TestPassageLaw:
         d = np.linspace(1e-12, 2.0, 1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c in (0.5, 0.0, np.linspace(0.0, 1.0, 1000)):
+            # 1e-160: the unchosen t_hi = den / (2 c^2) overflows
+            for c in (0.5, 0.0, 1e-160, np.linspace(0.0, 1.0, 1000)):
                 _passage(gen, d, c, 0.04)

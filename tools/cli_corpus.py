@@ -8,7 +8,7 @@ request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
 byte-identical print the same bytes for every request.
 
-The corpus (516 requests):
+The corpus (517 requests):
   - root, solve --x=1.0 --csv -, and a sigma and a lambda sweep on the
     README config and on 6 seeds x 19 family x jump law x payoff problems
     from perfbench/problems.py (imported read-only);
@@ -24,7 +24,8 @@ The corpus (516 requests):
     barrier, and --grid from below every level, then --grid from a start
     between two levels (so the first levels are passed at time 0), and
     fig2 --grid and fig2 --y 2.39 (one barrier) runs at n = 70000, which
-    span two engine chunks.
+    span two engine chunks, and fig2 --grid on acceptance criterion 08's
+    17 levels (n = 20000, seed 7), whose paths restart many times.
 """
 from __future__ import annotations
 
@@ -121,6 +122,8 @@ def requests(problems) -> list[tuple[str, dict | None, list[str]]]:
                  "--n", "70000", "--seed", "3"]))
     out.append(("simulate fig2 y two chunks", fig2,
                 ["simulate", "--x", "1.0", "--y", "2.39", "--n", "70000", "--seed", "3"]))
+    out.append(("simulate fig2 grid 17 levels", fig2,
+                ["simulate", "--x", "1.0", "--grid", "2.0:2.8:17", "--n", "20000", "--seed", "7"]))
     return out
 
 
