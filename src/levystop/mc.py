@@ -42,14 +42,8 @@ times them in one batch at its end, from the draws their pass made.
 Every result is the same to the bit as the formulas written out in that
 order (at most the operands of + and * swapped).
 
-A pass writes its temporaries in place, into arrays it has just made: the
-coin's exponent, the passage drift |e|/s, a gap's end distance and a
-jumper's next gap end; a passage time takes its root by one select, not a
-masked divide. The bridge steps only read the live arrays and the
-crossings' gathers they are given, so the restarts are built from those
-gathers (the crossings' cells and their e); they are filtered only when
-some crossing ends its path or reaches the horizon. None of this moves a
-draw.
+_crossing, _hit_times and _end_distance only read the t, d, e and s they
+are given, so a pass builds its restarts from its crossings' own gathers.
 """
 from __future__ import annotations
 
@@ -263,11 +257,8 @@ def _simulate_chunk(model: Model, gen: np.random.Generator, start: float, levels
                 else:
                     dt = cells[at] = _hit_times(s2, *crossed)
                     at += width  # a hit below the top barrier restarts on it, in the same bridge
-                    e_up = crossed[2]  # e[got], which _hit_times only read
-                    up = (at < top) & (dt < horizon)
-                    if not up.all():  # the top barrier or the horizon ends some paths
-                        up = up.nonzero()[0]
-                        at, dt, e_up, got = at[up], dt[up], e_up[up], got[up]
+                    up = ((at < top) & (dt < horizon)).nonzero()[0]
+                    at, dt, got, e_up = at[up], dt[up], got[up], crossed[2][up]  # crossed[2] is e[got]
                     step = rise[at // width]
                     e_up += step
                     restart = (at, dt, gap[got], step, e_up)
