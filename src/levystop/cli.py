@@ -147,7 +147,6 @@ def cmd_solve(args) -> int:
         "theta_star": report.theta_star,
         "mu_tilde": report.mu_tilde,
         "certainty_growth_rate": bounds.certainty_growth(model, sol.k1),
-        "ratio_unimodal": sol.ratio_unimodal,
         "unchecked_hypotheses": UNCHECKED,
     }
     if args.x is not None:

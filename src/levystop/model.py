@@ -23,7 +23,7 @@ mean(), sample(gen, size) and laplace(s) = E[e^{-sZ}]; laws with marks
 inside [0, 1) also have power(k) = E[(1-Z)^k] and log_mean() =
 E[ln(1-Z)]. A payoff has eval(x) (vectorized), deriv(x) (the right-hand
 g'), break_even() (x0) and threshold(k1, model) -> (x*, multiplier,
-unimodal, smooth), the maximizer of g/psi, see Model and levystop.stopping.
+smooth), the maximizer of g/psi, see Model and levystop.stopping.
 """
 from __future__ import annotations
 
@@ -305,7 +305,7 @@ class CappedCall:
     def break_even(self) -> float:
         return self.I
 
-    def threshold(self, k1: float, model: Model) -> tuple[float, float | None, bool, bool]:
+    def threshold(self, k1: float, model: Model) -> tuple[float, float | None, bool]:
         """The interior root of (x - I) k1 u'(x) = 1, x = (k1 I + A)/(k1 - B)
         with 1/u'(x) = A + B x, when k1 u'(K) (K - I) >= 1; else the cap K.
         Only in u = ln x is it a multiple of I, k1/(k1 - 1)."""
@@ -315,7 +315,7 @@ class CappedCall:
             x, multiplier = (k1 * I + A) / (k1 - B), (k1 / (k1 - B) if B else None)
         else:
             x, multiplier = K, None
-        return x, multiplier, True, x < K  # smooth fit fails at the cap's kink
+        return x, multiplier, x < K  # smooth fit fails at the cap's kink
 
 
 @dataclass(frozen=True)
@@ -344,13 +344,13 @@ class PowerCall:
     def break_even(self) -> float:
         return (self.K / self.a) ** (1.0 / self.b)
 
-    def threshold(self, k1: float, model: Model) -> tuple[float, float, bool, bool]:
+    def threshold(self, k1: float, model: Model) -> tuple[float, float, bool]:
         a, b, K = self.a, self.b, self.K
         if k1 <= b:
             raise NoFiniteThreshold(
                 f"power payoff growth b = {b} is not dominated: k1 = {k1:.6g} <= b"
             )
-        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b), True, True
+        return (k1 * K / ((k1 - b) * a)) ** (1.0 / b), k1 / (k1 - b), True
 
 
 def _sign(v: float) -> float:
@@ -510,18 +510,17 @@ class TabulatedPayoff:
     def break_even(self) -> float:
         return self._break_even
 
-    def threshold(self, k1: float, model: Model) -> tuple[float, None, bool, bool]:
-        """The exact maximizer of g/psi over (x0, inf), and whether it is the
-        only local maximum: the best of the breakpoints above x0, the roots of
-        each piece's first-order cubic (A + B x) g' - k1 g, with 1/u'(x) =
-        A + B x and g a cubic in s = x - b, and the linear tail's root,
-        compared on log g - k1 u(x); ties go to the largest point. g is C1
-        above x0, so smooth fit holds there."""
+    def threshold(self, k1: float, model: Model) -> tuple[float, None, bool]:
+        """The exact maximizer of g/psi over (x0, inf): the best of the
+        breakpoints above x0, the roots of each piece's first-order cubic
+        (A + B x) g' - k1 g, with 1/u'(x) = A + B x and g a cubic in s = x - b,
+        and the linear tail's root, compared on log g - k1 u(x); ties go to
+        the largest point. g is C1 above x0, so smooth fit holds there."""
         bp, x0, (A, B) = self.breakpoints, self._break_even, model.inv_du
         v, m, end = self.values[-1], self._end_slope, bp[-1]
         if m > 0 and (k1 < B or k1 == B and v <= m * end):
             raise NoFiniteThreshold("g/psi keeps increasing; sup not attained")
-        points, signs = [], []  # candidates; slope signs between them, in order
+        points = []  # candidates, in ascending order
         for (b, (c0, c1, c2, c3), _), hi in zip(self._pieces, bp[1:]):
             if hi <= x0:
                 continue
@@ -535,16 +534,13 @@ class TabulatedPayoff:
                                   f"at k1 = {k1}") from None
             # a complex pair contributes its real part: a spare candidate
             # that covers a double root which rounding moved off the real line
-            roots, lo = b + roots.real, max(b, x0)
-            ends = np.concatenate(([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi]))
-            signs += np.sign(np.polyval(foc, 0.5 * (ends[:-1] + ends[1:]) - b)).tolist()
-            points += ends[1:].tolist()
+            roots = b + roots.real
+            points += np.sort(roots[(roots > max(b, x0)) & (roots < hi)]).tolist()
+            points.append(hi)
         # the linear tail's root: the capped call's, with I at the line's zero end - v/m
         tail = (k1 * (end - v / m) + A) / (k1 - B) if m > 0 and k1 > B else end
         if tail > end:
             points.append(tail)
-            signs.append(1.0)
-        signs.append(-1.0)  # g/psi falls beyond the last candidate
 
         xs = np.array(points)
         g = self.eval(xs)
@@ -554,9 +550,7 @@ class TabulatedPayoff:
         best = len(xs) - 1 - int(np.argmax(log_ratio[::-1]))
         if not g[best] > 0:
             raise SolverError("tabulated threshold search ended at a nonpositive payoff")
-        signs = [s for s in signs if s]
-        peaks = sum(a > 0 > b for a, b in zip(signs, signs[1:]))
-        return float(xs[best]), None, peaks <= 1, True
+        return float(xs[best]), None, True
 
 
 Payoff = CappedCall | PowerCall | TabulatedPayoff

@@ -50,7 +50,6 @@ class ThresholdSolution:
     multiplier: float | None
     smooth_fit_gap: float
     smooth_fit: str  # "broken" exactly where g has a kink at x*, else "smooth"
-    ratio_unimodal: bool
 
 
 def solve_threshold(model: Model, payoff: Payoff,
@@ -68,7 +67,7 @@ def solve_threshold(model: Model, payoff: Payoff,
     if not (k1 > 0 and isfinite(k1)):
         raise SolverError(f"threshold needs a positive finite exponent, got {k1}")
 
-    x_star, multiplier, unimodal, smooth = payoff.threshold(k1, model)
+    x_star, multiplier, smooth = payoff.threshold(k1, model)
     if not isfinite(x_star):  # e.g. a power payoff whose break-even overflows
         raise NoFiniteThreshold(f"threshold is not finite: x* = {x_star}")
 
@@ -82,7 +81,6 @@ def solve_threshold(model: Model, payoff: Payoff,
         # 0.0 - slope, not -slope: an exact tie gives +0.0
         smooth_fit_gap=0.0 - _slope_sign(model, payoff, k1, x_star),
         smooth_fit="smooth" if smooth else "broken",
-        ratio_unimodal=unimodal,
     )
 
 

@@ -82,18 +82,26 @@ class TestRoot:
         assert json.loads(dest.read_text())["k1"] == pytest.approx(1.72014, abs=1e-4)
 
 
+SOLVE_KEYS = ["model", "k1", "bracket_low", "bracket_high", "x_star", "value_at_star",
+              "multiplier", "smooth_fit", "smooth_fit_gap", "x_star_low", "x_star_high",
+              "theta_star", "mu_tilde", "certainty_growth_rate", "unchecked_hypotheses"]
+
+
 class TestSolve:
     def test_json_payload(self, capsys, cfg_file):
+        code, out, _ = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG))
+        assert code == 0
+        assert list(json.loads(out)) == SOLVE_KEYS
         code, out, _ = run_cli(capsys, "solve", "--config", cfg_file(FIG2_CFG),
                                "--x", "1.0")
         assert code == 0
         data = json.loads(out)
+        assert list(data) == SOLVE_KEYS + ["x", "value", "certainty_time"]
         assert data["x_star"] == pytest.approx(2.3886163117354204, abs=1e-9)
         assert data["x_star_low"] == pytest.approx(1.9567344090461676, abs=1e-9)
         assert data["x_star_high"] == pytest.approx(2.7547349162513908, abs=1e-9)
         assert data["theta_star"] == pytest.approx(0.05607782296729329, abs=1e-10)
         assert data["smooth_fit"] == "smooth"
-        assert data["ratio_unimodal"] is True
         assert data["value"] == pytest.approx(0.310539622809711, abs=1e-10)
         assert data["certainty_time"] > 0.0
         assert data["unchecked_hypotheses"]  # stated, not silently assumed

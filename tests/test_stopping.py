@@ -101,7 +101,6 @@ class TestPowerGeometric:
         assert sol.multiplier == pytest.approx(2.3886163117354204, abs=1e-10)
         assert sol.value_at_star == pytest.approx(sol.x_star - 1.0)
         assert sol.smooth_fit == "smooth"
-        assert sol.ratio_unimodal
 
     def test_value_below_threshold(self, fig2, fig2_payoff):
         sol = solve_threshold(fig2, fig2_payoff)
@@ -239,7 +238,6 @@ class TestTabulated:
         sol = solve_threshold(fig2, payoff)
         want = self.scan_oracle(fig2, payoff, sol.k1, 1.0, 9.0)
         assert sol.x_star == pytest.approx(want, abs=1e-6)
-        assert sol.ratio_unimodal
         assert abs(sol.smooth_fit_gap) < 1e-6
 
     def test_arithmetic_capped_shape(self):
@@ -267,7 +265,6 @@ class TestTabulated:
                                  (-1.0, 0.0, 1.0, 1.0, 6.36, 6.3600001))
         sol = solve_threshold(m, payoff)
         assert sol.x_star == pytest.approx(1.001, abs=1e-6)
-        assert not sol.ratio_unimodal
         # x* is interior to the steep rise, where g is C1: its rounding gap
         # of about 5e-10 once read as a broken fit under a tolerance
         assert 1.0 < sol.x_star < 1.001
@@ -298,7 +295,7 @@ class TestTabulated:
     def test_no_worse_than_mpmath_maximum(self, problem):
         family, k1, payoff = problem
         geometric = family is Family.GEOMETRIC
-        x_star, multiplier, _, _ = payoff.threshold(k1, Model(family, 0.03, 0.1, 0.0, None, 0.05))
+        x_star, multiplier, _ = payoff.threshold(k1, Model(family, 0.03, 0.1, 0.0, None, 0.05))
         assert multiplier is None
         assert x_star > payoff.break_even()
         best = mp_maximum(payoff, k1, geometric)
