@@ -8,7 +8,7 @@ volatility sigma, so a gap of length s that starts d below a barrier
 ends e = d - (c s + sigma sqrt(s) Z) below it, drawn when the gap
 starts. Given both ends, the path is a Brownian bridge, and one uniform
 decides whether it crosses the next barrier (see _crossing); a
-crossing's time is one Michael-Schucany-Haas draw (1976, see _passage),
+crossing's time is one Michael-Schucany-Haas draw (1976, see _msh),
 time-changed into the bridge (see _hit_times).
 
 A crossing inside the gap is the hit time, exactly. Downward jumps
@@ -133,10 +133,11 @@ def _chunk_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, index])))
 
 
-def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
-             s2: float) -> np.ndarray:
+def _msh(d: np.ndarray, c: np.ndarray | float, s2: float, nu: np.ndarray,
+         u: np.ndarray) -> np.ndarray:
     """Passage time of c t + sigma W_t over d > 0, for drifts c >= 0 (an
-    array like d, or one float for all).
+    array like d, or one float for all), from the draws nu (standard
+    normals Z) and u (uniforms), which are both overwritten.
 
     Michael, Schucany & Haas (1976, Am. Statistician 30:88-90). With
     nu = s2 Z^2, the roots of (c t - d)^2 = nu t are
@@ -145,12 +146,6 @@ def _passage(gen: np.random.Generator, d: np.ndarray, c: np.ndarray | float,
     Every term is positive, so nothing cancels as c -> 0, and c = 0 gives
     p = 1 and t_lo = d^2/nu, the Levy law.
     """
-    return _msh(d, c, s2, gen.standard_normal(d.size), gen.random(d.size))
-
-
-def _msh(d: np.ndarray, c: np.ndarray | float, s2: float, nu: np.ndarray,
-         u: np.ndarray) -> np.ndarray:
-    """_passage's formula on its draws nu and u, which are both overwritten."""
     c2 = np.multiply(c, 2.0)
     a2d = c2 * d  # 2cd
     np.square(nu, out=nu)
@@ -198,7 +193,7 @@ def _crossing(gen: np.random.Generator, d: np.ndarray, e: np.ndarray, s: np.ndar
 
 def _hit_times(s2: float, t: np.ndarray, d: np.ndarray, e: np.ndarray, s: np.ndarray,
                nu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """When crossing bridges that start at t cross, from _passage's draws nu and u (both
+    """When crossing bridges that start at t cross, from _msh's draws nu and u (both
     overwritten; t, d, e and s are only read). In the time nu = s r/(s - r), r after t, a
     bridge crosses when a Brownian motion with drift -e/s passes d, whose drift given that it
     does is |e|/s: r = s/(1 + s/nu)."""

@@ -912,13 +912,37 @@ def _load(path: Path):
 
 
 class TestCorpus:
-    """tools/cli_corpus.py, the byte-diff harness, runs end to end in-process."""
+    """tools/cli_corpus.py, the byte-diff harness, is the runtime-equivalence check."""
 
-    def test_every_request_exits_as_expected(self):
+    def test_every_request_prints_the_same_bytes_without_scipy(self, tmp_path):
+        # scipy is a test-only reference: with its import blocked, every corpus
+        # request prints what it prints with scipy there, and neither run loads it
         root = Path(__file__).resolve().parent.parent
-        corpus = _load(root / "tools" / "cli_corpus.py")
-        problems = _load(root / "perfbench" / "problems.py")
-        records = list(corpus.results(problems, main))
+        code = ("import json, sys\n"
+                "from pathlib import Path\n"
+                "if sys.argv[1] == 'blocked':\n"
+                "    sys.modules['scipy'] = None\n"
+                "sys.path.insert(0, sys.argv[2])\n"
+                "import cli_corpus\n"
+                "cli_corpus.run(Path(sys.argv[3]), Path(sys.argv[4]))\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.startswith(('scipy', 'mpmath')))))\n")
+        # under the warning filter of the in-process tests; both start before either is waited on
+        procs = {mode: subprocess.Popen(
+                     [sys.executable, "-W", "error::RuntimeWarning", "-c", code, mode,
+                      str(root / "tools"), str(root / "src"), str(tmp_path / f"{mode}.jsonl")],
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for mode in ("blocked", "open")}
+        ends = {mode: proc.communicate(timeout=300) for mode, proc in procs.items()}
+        loaded = {}
+        for mode, (out, err) in ends.items():
+            assert procs[mode].returncode == 0, err
+            assert err == ""
+            loaded[mode] = json.loads(out.splitlines()[-1])
+        corpus = (tmp_path / "open.jsonl").read_bytes()
+        assert (tmp_path / "blocked.jsonl").read_bytes() == corpus
+        assert loaded == {"blocked": ["scipy"], "open": []}  # the blocking entry itself only
+        records = [json.loads(line) for line in corpus.decode().splitlines()]
         assert len(records) == 517
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
@@ -1159,60 +1183,6 @@ class TestInstalledScript:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k1"] == pytest.approx(0.6295591279614878, abs=1e-9)
-
-    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats",
-                                        "scipy.special"])
-    def test_cold_start_leaves_module_unloaded(self, tmp_path, module):
-        # each costs a cold start 0.1-0.5 s; neither importing the CLI, nor a
-        # root run on the README config, nor a tabulated-payoff solve needs it
-        cfg, tab = tmp_path / "m.json", tmp_path / "tab.json"
-        cfg.write_text(json.dumps(FIG2_CFG))
-        tab.write_text(json.dumps(dict(TABLE1_CFG, payoff={"kind": "tabulated", "params": {
-            "breakpoints": [0.0, 1.0, 2.0, 3.0], "values": [-1.0, 0.0, 0.8, 1.0]}})))
-        code = ("import sys, levystop.cli\n"
-                f"print({module!r} in sys.modules)\n"
-                "for cfg, command in zip(sys.argv[1:3], ('root', 'solve')):\n"
-                "    code = levystop.cli.main([command, '--config', cfg, '--out', sys.argv[3]])\n"
-                f"    print(code, {module!r} in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tab),
-                               str(tmp_path / "out.json")],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "0", "False", "0", "False"]
-
-    @pytest.mark.parametrize("family", ["arithmetic", "geometric"])
-    def test_beta_law_runs_without_scipy(self, tmp_path, family):
-        # scipy is a test-only dependency: with its import blocked, root, solve
-        # and simulate run on a Beta-marks config and print what they print with it
-        cfg = tmp_path / "beta.json"
-        cfg.write_text(json.dumps(dict(FIG2_CFG, family=family, payoff={
-            "kind": "capped_call", "params": {"K": 4.0, "I": 1.0}})))
-        commands = [["root"], ["solve", "--x", "1.0"],
-                    ["simulate", "--x", "1.0", "--y", "2.0", "--n", "500", "--seed", "1"]]
-        code = ("import contextlib, io, json, sys\n"
-                "blocked = sys.argv[1] == 'blocked'\n"
-                "if blocked:\n"
-                "    sys.modules['scipy'] = None\n"
-                "import levystop.cli\n"
-                "outs = []\n"
-                "for command in json.loads(sys.argv[3]):\n"
-                "    buf = io.StringIO()\n"
-                "    with contextlib.redirect_stdout(buf):\n"
-                "        code = levystop.cli.main([command[0], '--config', sys.argv[2], *command[1:]])\n"
-                "    outs.append([code, buf.getvalue()])\n"
-                "print(json.dumps([outs, [m for m in sys.modules if m.startswith('scipy')]]))\n")
-        runs = {}
-        for mode in ("blocked", "open"):
-            proc = subprocess.run([sys.executable, "-c", code, mode, str(cfg), json.dumps(commands)],
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stderr == ""
-            runs[mode] = json.loads(proc.stdout)
-        outs, loaded = runs["blocked"]
-        assert [code for code, _ in outs] == [0, 0, 0]
-        assert loaded == ["scipy"]  # the blocking entry itself, nothing below it
-        assert outs == runs["open"][0]
-        assert runs["open"][1] == []  # nor is scipy imported when it is there
 
     def test_root_runs_without_numpy(self, tmp_path):
         # numpy loads on first array use: with its import blocked, root on the

@@ -29,7 +29,7 @@ from levystop import (
     threshold_grid_search,
 )
 from levystop.mc import (CHUNK, MAX_JUMP_GAPS, _chunk_stream, _crossing, _end_distance,
-                         _engine_inputs, _fitted_argmax, _hit_times, _horizon, _passage, _request,
+                         _engine_inputs, _fitted_argmax, _hit_times, _horizon, _msh, _request,
                          _stop_at, simulate_to_threshold)
 
 from conftest import fig2_model, table1_model
@@ -770,7 +770,7 @@ class TestZeroDiscount:
 
 
 class TestPassageLaw:
-    """_passage against the passage-time transform of c t + sigma W_t over d,
+    """_msh against the passage-time transform of c t + sigma W_t over d,
     E[e^{-q tau}] = exp(d (c - sqrt(c^2 + 2 q s2)) / s2), for drifts c >= 0
     down to zero, where every path gets there."""
 
@@ -779,7 +779,7 @@ class TestPassageLaw:
         s2, n = 0.09, 200_000
         gen = np.random.Generator(np.random.SFC64(41))
         for d in (0.02, 0.1, 0.3):
-            tau = _passage(gen, np.full(n, d), c, s2)
+            tau = _msh(np.full(n, d), c, s2, gen.standard_normal(n), gen.random(n))
             assert np.all(np.isfinite(tau) & (tau > 0))
             # q where the zero-drift transform is e^{-x}: no rare-event estimates
             for q in (s2 / 2.0 * (x / d) ** 2 for x in (0.05, 0.5, 1.0, 2.0, 4.0)):
@@ -792,17 +792,10 @@ class TestPassageLaw:
     def test_zero_normal_is_finite_law_and_silent(self, c):
         # a standard normal of exactly 0 puts nu = 0: the roots meet at d/c,
         # and at c = 0 the Levy time d^2/nu is inf; nothing may come out NaN or warn
-        class ZeroNormal:
-            def standard_normal(self, size):
-                return np.zeros(size)
-
-            def random(self, size):
-                return np.full(size, 0.5)
-
         d = np.array([1e-12, 0.5, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tau = _passage(ZeroNormal(), d, c, 0.04)
+            tau = _msh(d, c, 0.04, np.zeros(d.size), np.full(d.size, 0.5))
         with np.errstate(divide="ignore"):
             np.testing.assert_allclose(tau, np.where(c == 0, np.inf, d / c), rtol=1e-15)
 
@@ -813,4 +806,4 @@ class TestPassageLaw:
             warnings.simplefilter("error")
             # 1e-160: the unchosen t_hi = den / (2 c^2) overflows
             for c in (0.5, 0.0, 1e-160, np.linspace(0.0, 1.0, 1000)):
-                _passage(gen, d, c, 0.04)
+                _msh(d, c, 0.04, gen.standard_normal(d.size), gen.random(d.size))

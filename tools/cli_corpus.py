@@ -2,7 +2,8 @@
 
     python tools/cli_corpus.py SRC OUT
 
-imports ``levystop`` from the source directory SRC, runs every request
+imports ``levystop`` from SRC, any directory that holds the package (a
+tree's ``src/`` or an installed site-packages), runs every request
 in-process through ``levystop.cli.main`` and writes one JSON line per
 request to OUT: its name, argv (config paths replaced by the config
 itself), exit code, stdout and stderr. Two trees whose OUT files are
