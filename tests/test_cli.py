@@ -911,38 +911,61 @@ def _load(path: Path):
     return module
 
 
+@pytest.fixture(scope="module")
+def corpus_pair(tmp_path_factory):
+    """tools/cli_corpus.py's run from two fresh processes, started before either is
+    waited on: "blocked" sets sys.modules["scipy"] = None first, "open" does not.
+    Per run: exit code, stderr, the scipy* and mpmath* modules loaded at its end,
+    the corpus bytes and their records."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path_factory.mktemp("corpus")
+    code = ("import json, sys\n"
+            "from pathlib import Path\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['scipy'] = None\n"
+            "sys.path.insert(0, sys.argv[2])\n"
+            "import cli_corpus\n"
+            "cli_corpus.run(Path(sys.argv[3]), Path(sys.argv[4]))\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith(('scipy', 'mpmath')))))\n")
+    # under the warning filter of the in-process tests
+    procs = {mode: subprocess.Popen(
+                 [sys.executable, "-W", "error::RuntimeWarning", "-c", code, mode,
+                  str(root / "tools"), str(root / "src"), str(out / f"{mode}.jsonl")],
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for mode in ("blocked", "open")}
+    runs = {}
+    for mode, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=300)
+        run = {"exit": proc.returncode, "stderr": stderr, "loaded": None, "corpus": b"",
+               "records": []}
+        if proc.returncode == 0:
+            run["loaded"] = json.loads(stdout.splitlines()[-1])
+            run["corpus"] = (out / f"{mode}.jsonl").read_bytes()
+            run["records"] = [json.loads(line) for line in run["corpus"].decode().splitlines()]
+        runs[mode] = run
+    return runs
+
+
+def _finished(run: dict) -> dict:
+    assert run["exit"] == 0, run["stderr"]
+    assert run["stderr"] == ""
+    return run
+
+
 class TestCorpus:
     """tools/cli_corpus.py, the byte-diff harness, is the runtime-equivalence check."""
 
-    def test_every_request_prints_the_same_bytes_without_scipy(self, tmp_path):
+    def test_every_request_prints_the_same_bytes_without_scipy(self, corpus_pair):
         # scipy is a test-only reference: with its import blocked, every corpus
         # request prints what it prints with scipy there, and neither run loads it
-        root = Path(__file__).resolve().parent.parent
-        code = ("import json, sys\n"
-                "from pathlib import Path\n"
-                "if sys.argv[1] == 'blocked':\n"
-                "    sys.modules['scipy'] = None\n"
-                "sys.path.insert(0, sys.argv[2])\n"
-                "import cli_corpus\n"
-                "cli_corpus.run(Path(sys.argv[3]), Path(sys.argv[4]))\n"
-                "print(json.dumps(sorted(m for m in sys.modules\n"
-                "                        if m.startswith(('scipy', 'mpmath')))))\n")
-        # under the warning filter of the in-process tests; both start before either is waited on
-        procs = {mode: subprocess.Popen(
-                     [sys.executable, "-W", "error::RuntimeWarning", "-c", code, mode,
-                      str(root / "tools"), str(root / "src"), str(tmp_path / f"{mode}.jsonl")],
-                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-                 for mode in ("blocked", "open")}
-        ends = {mode: proc.communicate(timeout=300) for mode, proc in procs.items()}
-        loaded = {}
-        for mode, (out, err) in ends.items():
-            assert procs[mode].returncode == 0, err
-            assert err == ""
-            loaded[mode] = json.loads(out.splitlines()[-1])
-        corpus = (tmp_path / "open.jsonl").read_bytes()
-        assert (tmp_path / "blocked.jsonl").read_bytes() == corpus
-        assert loaded == {"blocked": ["scipy"], "open": []}  # the blocking entry itself only
-        records = [json.loads(line) for line in corpus.decode().splitlines()]
+        blocked, opened = _finished(corpus_pair["blocked"]), _finished(corpus_pair["open"])
+        assert blocked["corpus"] == opened["corpus"]
+        assert blocked["loaded"] == ["scipy"]  # the blocking entry itself only
+        assert opened["loaded"] == []
+
+    def test_every_request_exits_as_expected(self, corpus_pair):
+        records = _finished(corpus_pair["open"])["records"]
         assert len(records) == 517
         errors = {r["request"]: r for r in records if r["request"].startswith("error ")}
         assert {name: r["exit"] for name, r in errors.items()} == {
@@ -1183,6 +1206,42 @@ class TestInstalledScript:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k1"] == pytest.approx(0.6295591279614878, abs=1e-9)
+
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.interpolate", "scipy.stats",
+                                        "scipy.special"])
+    def test_cold_start_leaves_module_unloaded(self, corpus_pair, module):
+        # each costs a cold start 0.1-0.5 s; neither importing the CLI, nor root,
+        # nor a tabulated-payoff solve, nor any other corpus request needs it
+        run = _finished(corpus_pair["open"])
+        assert [m for m in run["loaded"] if m == module or m.startswith(module + ".")] == []
+        ran = {(r["argv"][0], json.loads(r["argv"][2]).get("payoff", {}).get("kind"))
+               for r in run["records"] if r["exit"] == 0 and r["argv"][1:2] == ["--config"]}
+        assert "root" in {command for command, _ in ran} and ("solve", "tabulated") in ran
+
+    @pytest.mark.parametrize("family", ["arithmetic", "geometric"])
+    def test_beta_law_runs_without_scipy(self, corpus_pair, family):
+        # scipy is a test-only dependency: with its import blocked, root, solve
+        # and simulate run on the corpus's Beta-marks configs of the family and
+        # print what they print with it
+        blocked, opened = _finished(corpus_pair["blocked"]), _finished(corpus_pair["open"])
+
+        def beta(run):
+            out = []
+            for r in run["records"]:
+                argv = r["argv"]
+                if "--config" in argv and not r["request"].startswith("error "):
+                    cfg = json.loads(argv[argv.index("--config") + 1])
+                    law = (cfg.get("jump_dist") or {}).get("kind")
+                    if (cfg["family"], law) == (family, "beta"):
+                        out.append(r)
+            return out
+
+        records = beta(blocked)
+        assert {r["argv"][0] for r in records} >= {"root", "solve", "simulate"}
+        assert [(r["exit"], r["stderr"]) for r in records] == [(0, "")] * len(records)
+        assert records == beta(opened)
+        assert blocked["loaded"] == ["scipy"]  # the blocking entry itself, nothing below it
+        assert opened["loaded"] == []  # nor is scipy imported when it is there
 
     def test_root_runs_without_numpy(self, tmp_path):
         # numpy loads on first array use: with its import blocked, root on the
